@@ -22,7 +22,6 @@ from .qubitsim import (
     QubitState,
     cycle_duration,
     initial_state,
-    no_reset_outcome,
     rng_for_run,
     sample_outcome,
     step_noise,
@@ -50,7 +49,6 @@ __all__ = [
     "kl_divergence",
     "likelihood_probability",
     "moments",
-    "no_reset_outcome",
     "optimal_detuning",
     "optimal_tau",
     "rng_for_run",

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiments, qubitsim
-from .estimator import GaussianBelief, LikelihoodModel, optimal_tau, run_estimation
+from .estimator import GaussianBelief, LikelihoodModel, run_estimation
 from .qubitsim import NoiseProcess, sample_outcome
 
 OUTDIR_ENV = "FREQTRACK_OUTDIR"
@@ -57,52 +57,59 @@ class Scenario:
         }
 
 
-# Per-command parameter schema: name -> (type, default).  "inf" is accepted
+# Per-command parameter schema: name -> (type, default, lower bound).  A bound
+# (low, True) excludes low itself; (low, False) admits it; None leaves the
+# value unbounded.  List bounds hold for every element.  "inf" is accepted
 # for coherence times.
-_MODEL_KEYS = {"alpha": (float, -0.02), "beta": (float, 0.6), "coherence_time": (float, 10e-6)}
+_POSITIVE = (0.0, True)
+_NON_NEGATIVE = (0.0, False)
+_MODEL_KEYS = {
+    "alpha": (float, -0.02, (-1.0, True)),
+    "beta": (float, 0.6, _NON_NEGATIVE),
+    "coherence_time": (float, 10e-6, _POSITIVE),
+}
 
 _SCHEMAS: dict[str, dict] = {
     "estimate": {
-        "mu0": (float, 0.0),
-        "sigma0": (float, 1e6),
-        "n": (int, 15),
-        "eps_true": (float, None),
+        "mu0": (float, 0.0, None),
+        "sigma0": (float, 1e6, _POSITIVE),
+        "n": (int, 15, _NON_NEGATIVE),
+        "eps_true": (float, None, None),
         **_MODEL_KEYS,
     },
     "campaign": {
-        "runs": (int, 5000),
-        "n": (int, 15),
-        "mu0": (float, 0.0),
-        "sigma0": (float, 1e6),
-        "truth_alpha": (float, -0.02),
-        "truth_beta": (float, 0.6),
-        "truth_coherence_time": (float, 10e-6),
+        "runs": (int, 5000, (1, False)),
+        "n": (int, 15, _NON_NEGATIVE),
+        "mu0": (float, 0.0, None),
+        "sigma0": (float, 1e6, _POSITIVE),
+        **{f"truth_{key}": spec for key, spec in _MODEL_KEYS.items()},
         **_MODEL_KEYS,
     },
     "validate-gaussian": {
-        "mu0": (float, 0.0),
-        "sigma0": (float, 1e6),
-        "multipliers": (list, [0.25, 0.5, 1.0, 2.0, 3.0, 4.0]),
+        "mu0": (float, 0.0, None),
+        "sigma0": (float, 1e6, _POSITIVE),
+        "multipliers": (list, [0.25, 0.5, 1.0, 2.0, 3.0, 4.0], _POSITIVE),
         **_MODEL_KEYS,
     },
     "track": {
-        "n": (int, 8),
-        "cycles": (int, 50),
-        "tau_max": (float, 7e-6),
-        "sigma_eps": (float, 30e3),
-        "sigma0": (float, 30e3),
-        "repetitions": (int, 200),
-        "target_detuning": (float, 1e6),
+        "n": (int, 8, _NON_NEGATIVE),
+        # fit_fringe needs at least 10 points per fringe
+        "cycles": (int, 50, (10, False)),
+        "tau_max": (float, 7e-6, _POSITIVE),
+        "sigma_eps": (float, 30e3, _NON_NEGATIVE),
+        "sigma0": (float, 30e3, _POSITIVE),
+        "repetitions": (int, 200, (1, False)),
+        "target_detuning": (float, 1e6, _POSITIVE),
         **_MODEL_KEYS,
     },
     "compare-frequentist": {
-        "shots": (int, 15),
-        "runs": (int, 400),
-        "sigma0": (float, 1e6),
-        "tau_multipliers": (list, [0.5, 1.0, 2.0, 4.0]),
-        "alpha": (float, 0.0),
-        "beta": (float, 1.0),
-        "coherence_time": (float, math.inf),
+        "shots": (int, 15, (1, False)),
+        "runs": (int, 400, (1, False)),
+        "sigma0": (float, 1e6, _POSITIVE),
+        "tau_multipliers": (list, [0.5, 1.0, 2.0, 4.0], _POSITIVE),
+        "alpha": (float, 0.0, (-1.0, True)),
+        "beta": (float, 1.0, _NON_NEGATIVE),
+        "coherence_time": (float, math.inf, _POSITIVE),
     },
 }
 
@@ -127,7 +134,7 @@ def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -
     if command not in _SCHEMAS:
         raise ScenarioError(f"unknown command {command!r}; choose from {COMMANDS}")
     schema = _SCHEMAS[command]
-    params = {k: default for k, (_, default) in schema.items()}
+    params = {k: default for k, (_, default, _) in schema.items()}
 
     config: dict = {}
     if config_path:
@@ -182,22 +189,17 @@ def _model_from(params: dict, prefix: str = "") -> LikelihoodModel:
 
 
 def _validate_params(command: str, params: dict) -> None:
+    """Check every parameter against its schema bound, then the models' own constraints."""
+    for key, (_, _, bound) in _SCHEMAS[command].items():
+        value = params[key]
+        if bound is None or value is None:
+            continue
+        low, exclusive = bound
+        if not all(v > low if exclusive else v >= low for v in np.atleast_1d(value)):
+            raise ScenarioError(f"{key} must be {'>' if exclusive else '>='} {low}, got {value}")
     _model_from(params)
     if command == "campaign":
         _model_from(params, "truth_")
-        if params["runs"] < 1:
-            raise ScenarioError("runs must be >= 1")
-    for key in ("sigma0", "sigma_eps", "tau_max", "target_detuning"):
-        if key in params and params[key] is not None and params[key] <= 0 and key != "sigma_eps":
-            raise ScenarioError(f"{key} must be positive")
-    if params.get("sigma_eps") is not None and params.get("sigma_eps", 0.0) < 0:
-        raise ScenarioError("sigma_eps must be >= 0")
-    for key in ("n", "shots", "cycles", "repetitions"):
-        if key in params and params[key] < 0:
-            raise ScenarioError(f"{key} must be >= 0")
-    for key in ("multipliers", "tau_multipliers"):
-        if key in params and any(m <= 0 for m in params[key]):
-            raise ScenarioError(f"all {key} must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -351,30 +353,13 @@ def _run_track(scenario: Scenario) -> None:
 
 def _run_compare_frequentist(scenario: Scenario) -> None:
     p = scenario.params
-    model = _model_from(p)
-    sigma0 = p["sigma0"]
-    tau_opt = optimal_tau(sigma0, model.T)
-    rows = []
-    for mult in p["tau_multipliers"]:
-        tau = mult * tau_opt
-        fbs_err = []
-        freq_err = []
-        for i in range(p["runs"]):
-            rng = qubitsim.rng_for_run(scenario.seed, i)
-            eps_true = sigma0 * float(rng.standard_normal())
-            belief, _ = experiments._run_single_estimation(
-                GaussianBelief(0.0, sigma0), p["shots"], model, model, eps_true, rng
-            )
-            fbs_err.append(abs(belief.mu - eps_true))
-            est = experiments.frequentist_estimate(eps_true, tau, p["shots"], model, rng)
-            freq_err.append(abs(est - eps_true))
-        rows.append(
-            [mult, tau, float(np.median(fbs_err)), float(np.median(freq_err))]
-        )
+    rows = experiments.compare_frequentist(
+        p["sigma0"], p["shots"], p["runs"], p["tau_multipliers"], _model_from(p), scenario.seed
+    )
     _write_output(
         scenario,
         ["tau_multiplier", "tau_s", "fbs_median_abs_error_hz", "frequentist_median_abs_error_hz"],
-        rows,
+        [list(row) for row in rows],
     )
 
 
@@ -411,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--output", default=None, help="output file path")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
-        for key, (kind, default) in schema.items():
+        for key, (kind, default, _) in schema.items():
             flag = "--" + key.replace("_", "-")
             if kind is list:
                 sp.add_argument(flag, default=None, help=f"comma-separated (default {default})")

@@ -147,36 +147,74 @@ def design_probe(belief: GaussianBelief, model: LikelihoodModel, l: int = 0) -> 
 
 
 def _posterior_moments(
-    belief: GaussianBelief, probe: ProbeSettings, m: int, model: LikelihoodModel
+    mu: float, sigma: float, tau: float, m: int, model: LikelihoodModel, l: int = 0
 ) -> tuple[float, float, bool]:
-    """Method-of-moments posterior (mu, sigma, variance_clamped) for one outcome."""
-    _validate_outcome(m)
-    mu, sigma = belief.mu, belief.sigma
-    tau = probe.tau
-    a, b = model.alpha, model.beta
+    """Method-of-moments posterior (mu, sigma, variance_clamped) after outcome m.
+
+    The probe is (tau, optimal_detuning(mu, tau, l)).  This is the scalar form,
+    on floats; _posterior_moments_vec is the same closed form on arrays.  A
+    variance below VARIANCE_FLOOR_REL * sigma^2 is raised to that floor and
+    flagged; one negative beyond it raises NumericalConsistencyError.
+    """
+    b = model.beta
     if b == 0.0:
         return mu, sigma, False
-
-    g = TWO_PI**2 * sigma**2 * tau**2 / 2.0  # = 2 pi^2 sigma^2 tau^2
-    damp = math.exp(-tau * model.inv_T - g)
-    bias = 1.0 + m * a
+    var = sigma**2
+    damp = math.exp(-tau * model.inv_T - TWO_PI**2 / 2.0 * var * tau**2)
+    bias = 1.0 + m * model.alpha
     # (-1)^l: odd branches flip the direction of the mean shift.
-    branch_sign = -1.0 if probe.l % 2 else 1.0
-    shift = branch_sign * TWO_PI * m * b * sigma**2 * tau * damp / bias
-    mu_next = mu + shift
+    branch_sign = -1.0 if l % 2 else 1.0
+    mu_next = mu + branch_sign * TWO_PI * m * b * var * tau * damp / bias
+    var_next = var - TWO_PI**2 * b**2 * sigma**4 * tau**2 * damp**2 / bias**2
+    floor = VARIANCE_FLOOR_REL * var
+    if var_next >= floor:
+        return mu_next, math.sqrt(var_next), False
+    if var_next < -floor:
+        raise NumericalConsistencyError(
+            f"posterior variance {var_next} is negative beyond rounding "
+            f"(sigma={sigma}, tau={tau}, model={model})"
+        )
+    return mu_next, math.sqrt(floor), True
 
-    var_next = sigma**2 - TWO_PI**2 * b**2 * sigma**4 * tau**2 * damp**2 / bias**2
-    clamped = False
-    floor = VARIANCE_FLOOR_REL * sigma**2
-    if var_next < floor:
-        if var_next < -floor:
+
+def _optimal_tau_vec(sigma: np.ndarray, inv_T: float) -> np.ndarray:
+    """optimal_tau on an array of sigmas, with inv_T = 1/T."""
+    root = np.sqrt(16.0 * np.pi**2 * sigma**2 + inv_T**2)
+    return 2.0 / (root + inv_T)
+
+
+def _posterior_moments_vec(
+    mu: np.ndarray,
+    sigma: np.ndarray,
+    tau: np.ndarray,
+    m: np.ndarray,
+    model: LikelihoodModel,
+    l: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_posterior_moments elementwise on arrays, for beliefs advanced in lockstep.
+
+    Its own function, not a type branch in one kernel: on the per-shot float
+    path the dispatch costs more than it saves.  It agrees with the scalar
+    form to rounding (np.exp and math.exp may differ by an ulp), as tested.
+    """
+    b = model.beta
+    if b == 0.0:
+        return mu, sigma, np.zeros(np.shape(sigma), dtype=bool)
+    var = sigma**2
+    damp = np.exp(-tau * model.inv_T - TWO_PI**2 / 2.0 * var * tau**2)
+    bias = 1.0 + m * model.alpha
+    branch_sign = -1.0 if l % 2 else 1.0
+    mu_next = mu + branch_sign * TWO_PI * m * b * var * tau * damp / bias
+    var_next = var - TWO_PI**2 * b**2 * sigma**4 * tau**2 * damp**2 / bias**2
+    floor = VARIANCE_FLOOR_REL * var
+    clamped = var_next < floor
+    if clamped.any():
+        if np.any(var_next < -floor):
             raise NumericalConsistencyError(
-                f"posterior variance {var_next} is negative beyond rounding "
-                f"(sigma={sigma}, tau={tau}, model={model})"
+                f"posterior variance {var_next.min()} is negative beyond rounding (model={model})"
             )
-        var_next = floor
-        clamped = True
-    return mu_next, math.sqrt(var_next), clamped
+        var_next = np.where(clamped, floor, var_next)
+    return mu_next, np.sqrt(var_next), clamped
 
 
 def update(
@@ -193,7 +231,8 @@ def update(
     median about 1.5x larger, while its robust width (1.4826 x its MAD) is
     about 0.8 of the reported sigma.
     """
-    mu, sigma, _ = _posterior_moments(belief, probe, m, model)
+    _validate_outcome(m)
+    mu, sigma, _ = _posterior_moments(belief.mu, belief.sigma, probe.tau, m, model, probe.l)
     return GaussianBelief(mu, sigma)
 
 
@@ -243,7 +282,7 @@ def run_estimation(
             m = _validate_outcome(measure(probe))
         except Exception as exc:
             raise EstimationAborted(belief, trace, exc) from exc
-        mu, sigma, clamped = _posterior_moments(belief, probe, m, model)
+        mu, sigma, clamped = _posterior_moments(belief.mu, belief.sigma, probe.tau, m, model, l)
         belief = GaussianBelief(mu, sigma)
         trace.append(
             StepRecord(

@@ -9,10 +9,10 @@ fixed-evolution-time frequentist baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import oracle
 from .estimator import (
@@ -20,10 +20,12 @@ from .estimator import (
     GaussianBelief,
     LikelihoodModel,
     ProbeSettings,
-    design_probe,
+    _optimal_tau_vec,
+    _posterior_moments,
+    _posterior_moments_vec,
+    likelihood_probability,
     optimal_detuning,
     optimal_tau,
-    update,
 )
 from .qubitsim import (
     QUASISTATIC,
@@ -108,79 +110,56 @@ def _run_single_estimation(
     n_shots: int,
     truth_model: LikelihoodModel,
     update_model: LikelihoodModel,
-    eps_true: float,
+    eps0: float,
     rng: np.random.Generator,
     noise: NoiseProcess | None = None,
-) -> tuple[GaussianBelief, float]:
-    """One estimation sequence against a simulated qubit; returns (belief, final eps_true).
+) -> tuple[float, float, float]:
+    """One estimation sequence against a simulated qubit: (mu, sigma, final shift).
 
-    Closed-form scalar path: the simulated shift may drift between shots if a
-    non-quasistatic noise process is supplied.
+    The true shift is eps0 plus, for a non-quasistatic noise process, the
+    process's excursion, which drifts between shots; the final shift is the
+    one the sequence ends on.
     """
     mu, sigma = prior.mu, prior.sigma
-    alpha_u, beta_u = update_model.alpha, update_model.beta
-    inv_T_u = update_model.inv_T
-    alpha_t, beta_t = truth_model.alpha, truth_model.beta
-    inv_T_t = truth_model.inv_T
+    alpha_t, beta_t, inv_T_t = truth_model.alpha, truth_model.beta, truth_model.inv_T
     drifting = noise is not None and noise.kind != QUASISTATIC
-    state = None
-    if drifting:
-        state = replace(initial_state(noise, rng), eps_true=eps_true)
-
+    state = initial_state(noise, rng) if drifting else None
+    eps_true = eps0 + state.eps_true if drifting else eps0
     for _ in range(n_shots):
         tau = optimal_tau(sigma, update_model.T)
         delta_f = 0.25 / tau + mu
-        if drifting:
-            eps_true = state.eps_true
         phase = TWO_PI * (delta_f - eps_true) * tau
         p_plus = 0.5 + 0.5 * (alpha_t + beta_t * math.exp(-tau * inv_T_t) * math.cos(phase))
         m = 1 if rng.random() < p_plus else -1
-
-        damp = math.exp(-tau * inv_T_u - 2.0 * math.pi**2 * sigma**2 * tau**2)
-        bias = 1.0 + m * alpha_u
-        mu = mu + TWO_PI * m * beta_u * sigma**2 * tau * damp / bias
-        var = sigma**2 - 4.0 * math.pi**2 * beta_u**2 * sigma**4 * tau**2 * damp**2 / bias**2
-        sigma = math.sqrt(max(var, 1e-12 * sigma**2))
-
+        mu, sigma, _ = _posterior_moments(mu, sigma, tau, m, update_model)
         if drifting:
-            dt = cycle_duration(ProbeSettings(tau=tau, delta_f=delta_f))
-            state = step_noise(noise, state, dt, rng)
-    return GaussianBelief(mu, sigma), eps_true
+            state = step_noise(noise, state, cycle_duration(ProbeSettings(tau, delta_f)), rng)
+            eps_true = eps0 + state.eps_true
+    return mu, sigma, eps_true
 
 
-def run_campaign(cfg: CampaignConfig) -> ErrorStats:
-    """Execute the campaign; per-run RNG streams make the result worker-order independent."""
-    runs = []
+def _campaign(cfg: CampaignConfig):
+    """Yield (RunResult, the run's stream after its shots) for each run, in order."""
     for i in range(cfg.run_count):
         rng = rng_for_run(cfg.master_seed, i)
-        eps_true = cfg.prior.mu + cfg.prior.sigma * float(rng.standard_normal())
+        eps0 = cfg.prior.mu + cfg.prior.sigma * float(rng.standard_normal())
         try:
-            belief, _ = _run_single_estimation(
-                cfg.prior,
-                cfg.n_shots,
-                cfg.truth_model,
-                cfg.update_model,
-                eps_true,
-                rng,
-                cfg.noise,
+            mu, sigma, eps_true = _run_single_estimation(
+                cfg.prior, cfg.n_shots, cfg.truth_model, cfg.update_model, eps0, rng, cfg.noise
             )
         except Exception as exc:
             raise RuntimeError(f"campaign run {i} failed: {exc}") from exc
-        runs.append(RunResult(eps_true=eps_true, eps_hat=belief.mu, final_sigma=belief.sigma))
-    return ErrorStats.from_runs(runs)
+        yield RunResult(eps_true=eps_true, eps_hat=mu, final_sigma=sigma), rng
 
 
 def campaign_runs(cfg: CampaignConfig) -> list[RunResult]:
-    """Per-run records for the campaign (same streams as run_campaign)."""
-    runs = []
-    for i in range(cfg.run_count):
-        rng = rng_for_run(cfg.master_seed, i)
-        eps_true = cfg.prior.mu + cfg.prior.sigma * float(rng.standard_normal())
-        belief, _ = _run_single_estimation(
-            cfg.prior, cfg.n_shots, cfg.truth_model, cfg.update_model, eps_true, rng, cfg.noise
-        )
-        runs.append(RunResult(eps_true=eps_true, eps_hat=belief.mu, final_sigma=belief.sigma))
-    return runs
+    """Per-run records of the campaign; per-run RNG streams make each independent of the rest."""
+    return [run for run, _ in _campaign(cfg)]
+
+
+def run_campaign(cfg: CampaignConfig) -> ErrorStats:
+    """Error statistics of the campaign."""
+    return ErrorStats.from_runs(campaign_runs(cfg))
 
 
 def mad_calibration(stats: ErrorStats) -> tuple[float, float]:
@@ -316,9 +295,6 @@ def closed_loop_track(
     R = repetitions
     alpha, beta, inv_T = model.alpha, model.beta, model.inv_T
 
-    def draw_outcomes(p_plus: np.ndarray) -> np.ndarray:
-        return np.where(rng.random(R) < p_plus, 1, -1)
-
     flips_fb = np.zeros(m_cycles)
     flips_open = np.zeros(m_cycles)
     mu_hat = np.zeros(R)  # warm start carries across the M cycles of each repetition
@@ -332,40 +308,26 @@ def closed_loop_track(
         for _ in range(n_shots):
             tau = _optimal_tau_vec(sigma, inv_T)
             delta_f = 0.25 / tau + mu
-            damp = np.exp(-tau * inv_T - 2.0 * np.pi**2 * sigma**2 * tau**2)
             p_plus = 0.5 + 0.5 * (
                 alpha + beta * np.exp(-tau * inv_T) * np.cos(TWO_PI * (delta_f - eps) * tau)
             )
-            m = draw_outcomes(p_plus)
-            bias = 1.0 + m * alpha
-            mu = mu + TWO_PI * m * beta * sigma**2 * tau * damp / bias
-            var = sigma**2 - 4.0 * np.pi**2 * beta**2 * sigma**4 * tau**2 * damp**2 / bias**2
-            sigma = np.sqrt(np.maximum(var, 1e-12 * sigma**2))
+            m = np.where(rng.random(R) < p_plus, 1, -1)
+            mu, sigma, _ = _posterior_moments_vec(mu, sigma, tau, m, model)
         mu_hat = mu
         # Verification Ramsey shot with the drive adjusted by the estimate.
-        delta_f_eff = target_detuning + mu_hat
-        p_flip = 0.5 + 0.5 * (
-            alpha + beta * math.exp(-tau_j * inv_T) * np.cos(TWO_PI * (delta_f_eff - eps) * tau_j)
-        )
+        p_flip = likelihood_probability(1, eps, ProbeSettings(tau_j, target_detuning + mu_hat), model)
         flips_fb[j] = np.mean(rng.random(R) < p_flip)
 
     # Feedback-off arm: fresh quasistatic draws, nominal frequency.
     eps = rng.normal(0.0, noise.sigma_eps, size=R)
     for j, tau_j in enumerate(taus):
-        p_flip = 0.5 + 0.5 * (
-            alpha + beta * math.exp(-tau_j * inv_T) * np.cos(TWO_PI * (target_detuning - eps) * tau_j)
-        )
+        p_flip = likelihood_probability(1, eps, ProbeSettings(tau_j, target_detuning), model)
         flips_open[j] = np.mean(rng.random(R) < p_flip)
 
     return (
         FringeRecord(tau_values=taus, flip_fractions=flips_fb, feedback=True),
         FringeRecord(tau_values=taus, flip_fractions=flips_open, feedback=False),
     )
-
-
-def _optimal_tau_vec(sigma: np.ndarray, inv_T: float) -> np.ndarray:
-    root = np.sqrt(16.0 * np.pi**2 * sigma**2 + inv_T**2)
-    return 2.0 / (root + inv_T)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +365,8 @@ def fit_fringe(record: FringeRecord) -> FringeFit:
     half the record's range, T2 from half the span.  A flat record is
     reported as unidentifiable rather than fitted.
     """
+    from scipy.optimize import curve_fit
+
     tau = np.asarray(record.tau_values, dtype=float)
     y = np.asarray(record.flip_fractions, dtype=float)
     if tau.size < 10:
@@ -497,3 +461,49 @@ def frequentist_estimate(
     est = (m_bar - model.alpha) / slope
     half_range = 0.5 / tau
     return float(min(max(est, -half_range), half_range))
+
+
+class ComparisonRow(NamedTuple):
+    """Median |error| of the adaptive and the fixed-tau estimates at one tau multiplier."""
+
+    tau_multiplier: float
+    tau: float
+    adaptive_median_abs_error: float
+    frequentist_median_abs_error: float
+
+
+def compare_frequentist(
+    sigma0: float,
+    shots: int,
+    run_count: int,
+    tau_multipliers: list[float],
+    model: LikelihoodModel,
+    seed: int,
+) -> list[ComparisonRow]:
+    """Adaptive estimation against the fixed-tau baseline on the same shifts and shot budget.
+
+    Run i estimates a shift drawn from N(0, sigma0) on stream i, once; the
+    frequentist shots at each tau = multiplier * tau_opt continue that stream
+    from where the adaptive shots left it.
+    """
+    cfg = CampaignConfig(
+        run_count=run_count,
+        n_shots=shots,
+        prior=GaussianBelief(0.0, sigma0),
+        truth_model=model,
+        update_model=model,
+        master_seed=seed,
+    )
+    runs = [(run, rng, rng.bit_generator.state) for run, rng in _campaign(cfg)]
+    adaptive = float(np.median([abs(run.eps_hat - run.eps_true) for run, _, _ in runs]))
+    tau_opt = optimal_tau(sigma0, model.T)
+    rows = []
+    for mult in tau_multipliers:
+        tau = mult * tau_opt
+        errors = []
+        for run, rng, state in runs:
+            rng.bit_generator.state = state
+            est = frequentist_estimate(run.eps_true, tau, shots, model, rng)
+            errors.append(abs(est - run.eps_true))
+        rows.append(ComparisonRow(mult, tau, adaptive, float(np.median(errors))))
+    return rows

@@ -35,10 +35,6 @@ class GridPosterior:
         if abs(float(self.weights.sum()) - 1.0) > _NORM_TOL:
             raise ValueError("weights must sum to 1")
 
-    @property
-    def spacing(self) -> float:
-        return float(self.eps_values[1] - self.eps_values[0])
-
 
 def from_gaussian(
     belief: GaussianBelief,

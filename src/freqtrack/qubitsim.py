@@ -10,7 +10,7 @@ synthesized as a sum of OU components with log-spaced rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,16 +75,11 @@ class NoiseProcess:
 
 @dataclass(frozen=True)
 class QubitState:
-    """Simulated qubit: binary level, true shift, elapsed clock, noise internals."""
+    """Simulated qubit: true shift, elapsed clock, noise internals."""
 
-    s: int = 0
     eps_true: float = 0.0
     clock: float = 0.0
     components: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.s not in (0, 1):
-            raise ValueError(f"level must be 0 or 1, got {self.s}")
 
 
 def initial_state(process: NoiseProcess, rng: np.random.Generator) -> QubitState:
@@ -92,9 +87,9 @@ def initial_state(process: NoiseProcess, rng: np.random.Generator) -> QubitState
     if process.kind == ONE_OVER_F:
         k = process.octave_count
         comp = rng.normal(0.0, process.sigma_eps / math.sqrt(k), size=k)
-        return QubitState(s=0, eps_true=float(comp.sum()), components=tuple(comp))
+        return QubitState(eps_true=float(comp.sum()), components=tuple(comp))
     eps = float(rng.normal(0.0, process.sigma_eps)) if process.sigma_eps > 0 else 0.0
-    return QubitState(s=0, eps_true=eps)
+    return QubitState(eps_true=eps)
 
 
 def step_noise(
@@ -155,13 +150,6 @@ def noise_trajectory(
     return out
 
 
-def redraw_quasistatic(
-    process: NoiseProcess, state: QubitState, rng: np.random.Generator
-) -> QubitState:
-    """New quasistatic shift draw, used at estimation-sequence boundaries."""
-    return replace(state, eps_true=float(rng.normal(0.0, process.sigma_eps)))
-
-
 def sample_outcome(
     eps_true: float,
     probe: ProbeSettings,
@@ -171,23 +159,6 @@ def sample_outcome(
     """Single-shot Ramsey outcome in {-1, +1} with qubit reset between shots."""
     p_plus = float(likelihood_probability(+1, eps_true, probe, model))
     return 1 if rng.random() < p_plus else -1
-
-
-def no_reset_outcome(
-    state: QubitState,
-    probe: ProbeSettings,
-    model: LikelihoodModel,
-    rng: np.random.Generator,
-) -> tuple[int, QubitState]:
-    """Outcome from the flip/no-flip chain used when the qubit is not re-initialized.
-
-    m = +1 means the measured level differs from the previous shot's
-    (m = 2*|s_i - s_{i-1}| - 1); under quasistatic noise the m-sequence is
-    statistically identical to sample_outcome draws.
-    """
-    m = sample_outcome(state.eps_true, probe, model, rng)
-    s_next = 1 - state.s if m == 1 else state.s
-    return m, replace(state, s=s_next)
 
 
 def cycle_duration(

@@ -83,6 +83,21 @@ class TestExitCodes:
         target.mkdir()
         assert main(["estimate", "--n", "2", "--output", str(target)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["track", "--cycles", "9"],
+            ["track", "--repetitions", "0"],
+            ["compare-frequentist", "--shots", "0"],
+            ["compare-frequentist", "--runs", "0"],
+            ["campaign", "--sigma0", "nan"],
+        ],
+    )
+    def test_out_of_bounds_exits_1_before_writing(self, argv, tmp_path, capsys):
+        assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 1
+        assert "freqtrack:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_success_exits_0(self, tmp_path):
         out = tmp_path / "run.csv"
         assert main(["estimate", "--n", "3", "--output", str(out)]) == 0

@@ -1,10 +1,16 @@
 """Simulation studies: campaigns, validity sweeps, tracking, fitting, baseline."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import freqtrack
+from freqtrack import experiments
 from freqtrack.estimator import (
     IDEAL_MODEL,
     REFERENCE_MODEL,
@@ -21,6 +27,7 @@ from freqtrack.experiments import (
     RunResult,
     campaign_runs,
     closed_loop_track,
+    compare_frequentist,
     fit_fringe,
     frequentist_estimate,
     gaussian_validity_sweep,
@@ -126,6 +133,22 @@ class TestCampaign:
                 truth_model=REFERENCE_MODEL,
                 update_model=REFERENCE_MODEL,
             )
+
+    def test_drifting_shift_scored_against_where_it_ends(self):
+        # 1/f noise adds a ~30 kHz excursion to the shift drawn from the
+        # 1 MHz prior, so the errors stay on the quasistatic campaign's scale.
+        common = dict(
+            run_count=1000,
+            n_shots=15,
+            prior=GaussianBelief(0.0, 1e6),
+            truth_model=REFERENCE_MODEL,
+            update_model=REFERENCE_MODEL,
+            master_seed=1,
+        )
+        quasistatic = run_campaign(CampaignConfig(**common))
+        drifting = run_campaign(CampaignConfig(noise=NoiseProcess(kind="one_over_f"), **common))
+        ratio = np.median(np.abs(drifting.errors)) / np.median(np.abs(quasistatic.errors))
+        assert ratio == pytest.approx(1.0, abs=0.15)
 
 
 class TestMadCalibration:
@@ -289,3 +312,28 @@ class TestFrequentistBaseline:
             frequentist_estimate(0.0, -1.0, 10, REFERENCE_MODEL, rng)
         with pytest.raises(ValueError):
             frequentist_estimate(0.0, 1e-7, 0, REFERENCE_MODEL, rng)
+
+
+class TestCompareFrequentist:
+    def test_one_stream_per_run(self, monkeypatch):
+        calls = []
+        original = experiments.rng_for_run
+        monkeypatch.setattr(
+            experiments, "rng_for_run", lambda seed, i: calls.append(i) or original(seed, i)
+        )
+        compare_frequentist(1e6, 15, 30, [0.5, 1.0, 2.0, 4.0], IDEAL_MODEL, seed=4)
+        assert calls == list(range(30))
+
+    def test_multipliers_see_the_same_shots(self):
+        # Each multiplier's frequentist shots start from the state the
+        # adaptive shots left, so a row does not depend on the other rows.
+        both = compare_frequentist(1e6, 15, 40, [1.0, 2.0], IDEAL_MODEL, seed=4)
+        alone = compare_frequentist(1e6, 15, 40, [2.0], IDEAL_MODEL, seed=4)
+        assert both[1] == alone[0]
+        assert both[0].adaptive_median_abs_error == both[1].adaptive_median_abs_error
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, freqtrack.experiments; assert 'scipy.optimize' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(Path(freqtrack.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -9,12 +9,9 @@ from scipy.signal import welch
 from freqtrack.estimator import IDEAL_MODEL, REFERENCE_MODEL, ProbeSettings, likelihood_probability
 from freqtrack.qubitsim import (
     NoiseProcess,
-    QubitState,
     cycle_duration,
     initial_state,
-    no_reset_outcome,
     noise_trajectory,
-    redraw_quasistatic,
     rng_for_run,
     sample_outcome,
     step_noise,
@@ -65,8 +62,6 @@ class TestNoiseProcess:
         for dt in (0.0, 1e-6, 1e-3, 10.0):
             state = step_noise(proc, state, dt, rng)
             assert state.eps_true == eps0
-        redrawn = redraw_quasistatic(proc, state, rng)
-        assert redrawn.eps_true != eps0
 
     def test_ou_zero_step_is_identity(self):
         proc = NoiseProcess(kind="ou_drift", sigma_eps=30e3, correlation_time=1e-3)
@@ -106,49 +101,6 @@ class TestNoiseProcess:
         rng = np.random.default_rng(7)
         x = noise_trajectory(proc, 50_000, 3e-4, rng)
         assert x.var() == pytest.approx(4.0, rel=0.1)
-
-
-class TestNoResetChain:
-    def test_flip_mapping(self):
-        # m = +1 means the level flipped relative to the previous shot.
-        probe = ProbeSettings(tau=1e-7, delta_f=5e5)
-        rng = np.random.default_rng(8)
-        state = QubitState(s=0, eps_true=5e5)
-        m, after = no_reset_outcome(state, probe, IDEAL_MODEL, rng)  # P(+1) = 1 here
-        assert m == 1 and after.s == 1
-        m, after2 = no_reset_outcome(after, probe, IDEAL_MODEL, rng)
-        assert m == 1 and after2.s == 0
-
-    def test_flip_fraction_matches_direct_sampling(self):
-        probe = ProbeSettings(tau=2.5e-7, delta_f=9e5)
-        eps = 1e5
-        p_expected = float(likelihood_probability(1, eps, probe, REFERENCE_MODEL))
-        rng = np.random.default_rng(9)
-        n = 100_000
-        state = QubitState(s=0, eps_true=eps)
-        flips = 0
-        for _ in range(n):
-            m, state = no_reset_outcome(state, probe, REFERENCE_MODEL, rng)
-            flips += m == 1
-        margin = 3.0 * math.sqrt(p_expected * (1 - p_expected) / n)
-        assert flips / n == pytest.approx(p_expected, abs=margin)
-
-    def test_two_sample_equivalence_with_direct_sampling(self):
-        probe = ProbeSettings(tau=1.8e-7, delta_f=1.4e6)
-        eps = -2e5
-        n = 100_000
-        rng = np.random.default_rng(10)
-        direct = sum(sample_outcome(eps, probe, REFERENCE_MODEL, rng) == 1 for _ in range(n))
-        state = QubitState(s=0, eps_true=eps)
-        chained = 0
-        for _ in range(n):
-            m, state = no_reset_outcome(state, probe, REFERENCE_MODEL, rng)
-            chained += m == 1
-        # two-proportion z-test at the 1% level
-        p_pool = (direct + chained) / (2 * n)
-        se = math.sqrt(2 * p_pool * (1 - p_pool) / n)
-        z = abs(direct / n - chained / n) / se
-        assert z < 2.576
 
 
 class TestReproducibility:
