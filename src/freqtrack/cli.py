@@ -118,6 +118,9 @@ def _coerce(name: str, kind, value):
     if value is None:
         return None
     try:
+        # Flags arrive as strings; a config file must give an integer as a JSON integer.
+        if kind is int and not isinstance(value, str) and type(value) is not int:
+            raise TypeError
         if kind is list:
             if isinstance(value, str):
                 value = [float(v) for v in value.split(",") if v]
@@ -161,7 +164,7 @@ def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -
 
     seed = flag_values.get("seed")
     if seed is None:
-        seed = config.get("seed", 0)
+        seed = _coerce("seed", int, config.get("seed")) or 0
     fmt = flag_values.get("format") or config.get("format") or "csv"
     if fmt not in ("csv", "json"):
         raise ScenarioError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -172,9 +175,7 @@ def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -
         output = str(Path(outdir) / f"{command}.{fmt}")
 
     _validate_params(command, params)
-    return Scenario(
-        command=command, params=params, seed=int(seed), output_path=output, format=fmt
-    )
+    return Scenario(command, params, int(seed), output, fmt)
 
 
 def _model_from(params: dict, prefix: str = "") -> LikelihoodModel:
@@ -207,40 +208,39 @@ def _validate_params(command: str, params: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _write_output(scenario: Scenario, columns: list[str], rows: list[list]) -> None:
+def _files(scenario: Scenario, columns: list[str], rows: list[list], summary: dict | None):
+    """(path, text) of the output file and, given a summary, of <output>.summary.json."""
     path = Path(scenario.output_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = json.dumps(scenario.header_dict(), sort_keys=True)
+    head = {"tool": f"freqtrack {__version__}", "scenario": scenario.header_dict()}
     if scenario.format == "csv":
+        header = json.dumps(scenario.header_dict(), sort_keys=True)
         lines = [f"# freqtrack {__version__}", f"# scenario {header}", ",".join(columns)]
         for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        path.write_text("\n".join(lines) + "\n")
+            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        files = [(path, "\n".join(lines) + "\n")]
     else:
-        doc = {
-            "tool": f"freqtrack {__version__}",
-            "scenario": scenario.header_dict(),
-            "columns": columns,
-            "rows": rows,
-        }
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        files = [(path, _json_text({**head, "columns": columns, "rows": rows}))]
+    if summary is not None:
+        files.append((path.with_suffix(".summary.json"), _json_text({**head, "summary": summary})))
+    return files
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _write_summary(scenario: Scenario, summary: dict) -> Path:
-    path = Path(scenario.output_path).with_suffix(".summary.json")
-    doc = {
-        "tool": f"freqtrack {__version__}",
-        "scenario": scenario.header_dict(),
-        "summary": summary,
-    }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return path
+def _write_files(files: list[tuple[Path, str]]) -> None:
+    """Write every file beside its target, then move each into place; leave no temp file."""
+    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in files]
+    try:
+        for tmp, (_, text) in zip(tmps, files):
+            tmp.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text)
+        for tmp, (path, _) in zip(tmps, files):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def read_header(path: str) -> dict:
@@ -255,11 +255,11 @@ def read_header(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Command implementations: each returns (columns, rows, summary or None)
 # ---------------------------------------------------------------------------
 
 
-def _run_estimate(scenario: Scenario) -> None:
+def _run_estimate(scenario: Scenario) -> tuple[list[str], list[list], dict | None]:
     p = scenario.params
     model = _model_from(p)
     prior = GaussianBelief(p["mu0"], p["sigma0"])
@@ -271,12 +271,10 @@ def _run_estimate(scenario: Scenario) -> None:
         prior, p["n"], model, lambda probe: sample_outcome(eps_true, probe, model, rng)
     )
     rows = [[r.step, r.tau, r.delta_f, r.outcome, r.mu, r.sigma] for r in trace]
-    _write_output(
-        scenario, ["step", "tau_s", "delta_f_hz", "outcome", "mu_hz", "sigma_hz"], rows
-    )
+    return ["step", "tau_s", "delta_f_hz", "outcome", "mu_hz", "sigma_hz"], rows, None
 
 
-def _run_campaign(scenario: Scenario) -> None:
+def _run_campaign(scenario: Scenario) -> tuple[list[str], list[list], dict | None]:
     p = scenario.params
     cfg = experiments.CampaignConfig(
         run_count=p["runs"],
@@ -289,33 +287,30 @@ def _run_campaign(scenario: Scenario) -> None:
     runs = experiments.campaign_runs(cfg)
     stats = experiments.ErrorStats.from_runs(runs)
     rows = [[i, r.eps_true, r.eps_hat, r.final_sigma] for i, r in enumerate(runs)]
-    _write_output(scenario, ["run", "eps_true_hz", "eps_hat_hz", "final_sigma_hz"], rows)
-    _write_summary(
-        scenario,
-        {
-            "n_runs": len(runs),
-            "mean_final_sigma_hz": stats.mean_final_sigma,
-            "std_hz": stats.std,
-            "mad_hz": stats.mad,
-            "outlier_fraction": stats.outlier_fraction,
-            "calibration_fraction": stats.calibration_fraction,
-        },
-    )
+    summary = {
+        "n_runs": len(runs),
+        "mean_final_sigma_hz": stats.mean_final_sigma,
+        "std_hz": stats.std,
+        "mad_hz": stats.mad,
+        "outlier_fraction": stats.outlier_fraction,
+        "calibration_fraction": stats.calibration_fraction,
+    }
+    return ["run", "eps_true_hz", "eps_hat_hz", "final_sigma_hz"], rows, summary
 
 
-def _run_validate_gaussian(scenario: Scenario) -> None:
+def _run_validate_gaussian(scenario: Scenario) -> tuple[list[str], list[list], dict | None]:
     p = scenario.params
     rows = experiments.gaussian_validity_sweep(
         GaussianBelief(p["mu0"], p["sigma0"]), _model_from(p), p["multipliers"]
     )
-    _write_output(
-        scenario,
+    return (
         ["tau_multiplier", "tau_s", "m", "posterior_sigma_hz", "kl_bits", "n_modes"],
         [[r.tau_multiplier, r.tau, r.m, r.posterior_sigma, r.kl_bits, r.n_modes] for r in rows],
+        None,
     )
 
 
-def _run_track(scenario: Scenario) -> None:
+def _run_track(scenario: Scenario) -> tuple[list[str], list[list], dict | None]:
     p = scenario.params
     fb, open_loop = experiments.closed_loop_track(
         noise=NoiseProcess(kind=qubitsim.QUASISTATIC, sigma_eps=p["sigma_eps"]),
@@ -332,11 +327,6 @@ def _run_track(scenario: Scenario) -> None:
         [float(t), float(f), float(o)]
         for t, f, o in zip(fb.tau_values, fb.flip_fractions, open_loop.flip_fractions)
     ]
-    _write_output(
-        scenario,
-        ["tau_s", "flip_fraction_feedback", "flip_fraction_no_feedback"],
-        rows,
-    )
     summary = {}
     for label, rec in (("feedback", fb), ("no_feedback", open_loop)):
         fit = experiments.fit_fringe(rec)
@@ -348,18 +338,18 @@ def _run_track(scenario: Scenario) -> None:
             "frequency_err_hz": fit.frequency_err,
             "identifiable": fit.identifiable,
         }
-    _write_summary(scenario, summary)
+    return ["tau_s", "flip_fraction_feedback", "flip_fraction_no_feedback"], rows, summary
 
 
-def _run_compare_frequentist(scenario: Scenario) -> None:
+def _run_compare_frequentist(scenario: Scenario) -> tuple[list[str], list[list], dict | None]:
     p = scenario.params
     rows = experiments.compare_frequentist(
         p["sigma0"], p["shots"], p["runs"], p["tau_multipliers"], _model_from(p), scenario.seed
     )
-    _write_output(
-        scenario,
+    return (
         ["tau_multiplier", "tau_s", "fbs_median_abs_error_hz", "frequentist_median_abs_error_hz"],
         [list(row) for row in rows],
+        None,
     )
 
 
@@ -413,9 +403,9 @@ def parse_scenario(argv: list[str]) -> Scenario:
 
 
 def execute(scenario: Scenario) -> int:
-    """Run the scenario; returns the process exit code."""
+    """Run the scenario, then write its files; returns the process exit code."""
     try:
-        _RUNNERS[scenario.command](scenario)
+        _write_files(_files(scenario, *_RUNNERS[scenario.command](scenario)))
     except ScenarioError:
         raise
     except OSError as exc:
@@ -430,12 +420,7 @@ def execute(scenario: Scenario) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        scenario = parse_scenario(argv)
-    except ScenarioError as exc:
-        print(f"freqtrack: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return execute(scenario)
+        return execute(parse_scenario(argv))
     except ScenarioError as exc:
         print(f"freqtrack: {exc}", file=sys.stderr)
         return 1

@@ -21,20 +21,17 @@ from .estimator import (
     LikelihoodModel,
     ProbeSettings,
     _optimal_tau_vec,
-    _posterior_moments,
     _posterior_moments_vec,
     likelihood_probability,
     optimal_detuning,
     optimal_tau,
 )
 from .qubitsim import (
+    DEPLETION_TIME,
     QUASISTATIC,
+    READOUT_TIME,
     NoiseProcess,
-    cycle_duration,
-    initial_state,
     rng_for_run,
-    sample_outcome,
-    step_noise,
 )
 
 MAD_TO_SIGMA = 1.4826  # scales a median absolute deviation to a Gaussian sigma
@@ -105,56 +102,73 @@ class ErrorStats:
         )
 
 
-def _run_single_estimation(
-    prior: GaussianBelief,
-    n_shots: int,
-    truth_model: LikelihoodModel,
-    update_model: LikelihoodModel,
-    eps0: float,
-    rng: np.random.Generator,
-    noise: NoiseProcess | None = None,
-) -> tuple[float, float, float]:
-    """One estimation sequence against a simulated qubit: (mu, sigma, final shift).
+def _lockstep(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None):
+    """Estimations against simulated qubits, one per array element: final (mu, sigma, shift).
 
-    The true shift is eps0 plus, for a non-quasistatic noise process, the
-    process's excursion, which drifts between shots; the final shift is the
-    one the sequence ends on.
+    Shot s measures +1 where the uniform u[s] falls below the truth model's
+    P(+1) and applies the array closed form.  Under a drifting noise process
+    (z given) the shift is eps plus the sum of the process's OU components,
+    which start stationary from the standard normals z[0] and step over each
+    probing cycle with z[s + 1].  All randomness comes in through u and z.
     """
-    mu, sigma = prior.mu, prior.sigma
-    alpha_t, beta_t, inv_T_t = truth_model.alpha, truth_model.beta, truth_model.inv_T
-    drifting = noise is not None and noise.kind != QUASISTATIC
-    state = initial_state(noise, rng) if drifting else None
-    eps_true = eps0 + state.eps_true if drifting else eps0
-    for _ in range(n_shots):
-        tau = optimal_tau(sigma, update_model.T)
+    alpha, beta, inv_T = truth_model.alpha, truth_model.beta, truth_model.inv_T
+    eps_true = eps
+    if z is not None:
+        comp = noise.transition(0.0, 0.0, z[0])
+        eps_true = eps + comp.sum(axis=1)
+    for shot, u_shot in enumerate(u):
+        tau = _optimal_tau_vec(sigma, update_model.inv_T)
         delta_f = 0.25 / tau + mu
-        phase = TWO_PI * (delta_f - eps_true) * tau
-        p_plus = 0.5 + 0.5 * (alpha_t + beta_t * math.exp(-tau * inv_T_t) * math.cos(phase))
-        m = 1 if rng.random() < p_plus else -1
-        mu, sigma, _ = _posterior_moments(mu, sigma, tau, m, update_model)
-        if drifting:
-            state = step_noise(noise, state, cycle_duration(ProbeSettings(tau, delta_f)), rng)
-            eps_true = eps0 + state.eps_true
+        p_plus = 0.5 + 0.5 * (
+            alpha + beta * np.exp(-tau * inv_T) * np.cos(TWO_PI * (delta_f - eps_true) * tau)
+        )
+        m = np.where(u_shot < p_plus, 1, -1)
+        mu, sigma, _ = _posterior_moments_vec(mu, sigma, tau, m, update_model)
+        if z is not None:
+            cycle = (tau + READOUT_TIME) + DEPLETION_TIME  # cycle_duration, elementwise
+            comp = noise.transition(comp, noise.decay(cycle[:, None]), z[shot + 1])
+            eps_true = eps + comp.sum(axis=1)
     return mu, sigma, eps_true
 
 
-def _campaign(cfg: CampaignConfig):
-    """Yield (RunResult, the run's stream after its shots) for each run, in order."""
-    for i in range(cfg.run_count):
+def _campaign(cfg: CampaignConfig, keep_streams: bool = False) -> tuple[list[RunResult], list]:
+    """(runs, streams if keep_streams else []): every run of the campaign, in lockstep.
+
+    Run i draws all its variates up front from its own stream rng_for_run,
+    in the order a run on its own uses them: the prior draw; under drift,
+    one normal per noise component; then per shot one uniform and, under
+    drift, one normal per component.  A kept stream continues from there.
+    """
+    n, R = cfg.n_shots, cfg.run_count
+    k = cfg.noise.rates.size if cfg.noise is not None else 0
+    z_prior = np.empty(R)
+    u = np.empty((n, R))
+    z = np.empty((n + 1, R, k)) if k else None
+    streams = []
+    for i in range(R):
         rng = rng_for_run(cfg.master_seed, i)
-        eps0 = cfg.prior.mu + cfg.prior.sigma * float(rng.standard_normal())
-        try:
-            mu, sigma, eps_true = _run_single_estimation(
-                cfg.prior, cfg.n_shots, cfg.truth_model, cfg.update_model, eps0, rng, cfg.noise
-            )
-        except Exception as exc:
-            raise RuntimeError(f"campaign run {i} failed: {exc}") from exc
-        yield RunResult(eps_true=eps_true, eps_hat=mu, final_sigma=sigma), rng
+        z_prior[i] = rng.standard_normal()
+        if k:
+            z[0, i] = rng.standard_normal(k)
+            for shot in range(n):
+                u[shot, i] = rng.random()
+                z[shot + 1, i] = rng.standard_normal(k)
+        else:
+            u[:, i] = rng.random(n)
+        if keep_streams:
+            streams.append(rng)
+    mu0, sigma0 = np.full(R, cfg.prior.mu), np.full(R, cfg.prior.sigma)
+    eps0 = cfg.prior.mu + cfg.prior.sigma * z_prior
+    mu, sigma, eps_true = _lockstep(
+        mu0, sigma0, eps0, u, cfg.truth_model, cfg.update_model, cfg.noise, z
+    )
+    runs = [RunResult(*run) for run in zip(eps_true.tolist(), mu.tolist(), sigma.tolist())]
+    return runs, streams
 
 
 def campaign_runs(cfg: CampaignConfig) -> list[RunResult]:
     """Per-run records of the campaign; per-run RNG streams make each independent of the rest."""
-    return [run for run, _ in _campaign(cfg)]
+    return _campaign(cfg)[0]
 
 
 def run_campaign(cfg: CampaignConfig) -> ErrorStats:
@@ -293,27 +307,18 @@ def closed_loop_track(
     rng = np.random.default_rng(seed)
     taus = np.linspace(tau_max / m_cycles, tau_max, m_cycles)
     R = repetitions
-    alpha, beta, inv_T = model.alpha, model.beta, model.inv_T
 
     flips_fb = np.zeros(m_cycles)
     flips_open = np.zeros(m_cycles)
     mu_hat = np.zeros(R)  # warm start carries across the M cycles of each repetition
 
-    # Feedback arm, vectorized across repetitions: each "row" is one repetition.
+    # Feedback arm, vectorized across repetitions: each element is one repetition.
     eps = rng.normal(0.0, noise.sigma_eps, size=R)
     for j, tau_j in enumerate(taus):
         # Estimation sequence, warm-started at the previous estimate.
-        mu = mu_hat.copy()
-        sigma = np.full(R, sigma0)
-        for _ in range(n_shots):
-            tau = _optimal_tau_vec(sigma, inv_T)
-            delta_f = 0.25 / tau + mu
-            p_plus = 0.5 + 0.5 * (
-                alpha + beta * np.exp(-tau * inv_T) * np.cos(TWO_PI * (delta_f - eps) * tau)
-            )
-            m = np.where(rng.random(R) < p_plus, 1, -1)
-            mu, sigma, _ = _posterior_moments_vec(mu, sigma, tau, m, model)
-        mu_hat = mu
+        mu_hat, _, _ = _lockstep(
+            mu_hat, np.full(R, sigma0), eps, rng.random((n_shots, R)), model, model
+        )
         # Verification Ramsey shot with the drive adjusted by the estimate.
         p_flip = likelihood_probability(1, eps, ProbeSettings(tau_j, target_detuning + mu_hat), model)
         flips_fb[j] = np.mean(rng.random(R) < p_flip)
@@ -452,11 +457,8 @@ def frequentist_estimate(
         raise ValueError(f"tau must be positive, got {tau}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probe = ProbeSettings(tau=tau, delta_f=0.25 / tau)
-    total = 0
-    for _ in range(shots):
-        total += sample_outcome(eps_true, probe, model, rng)
-    m_bar = total / shots
+    p_plus = float(likelihood_probability(+1, eps_true, ProbeSettings(tau, 0.25 / tau), model))
+    m_bar = (2 * int(np.count_nonzero(rng.random(shots) < p_plus)) - shots) / shots
     slope = TWO_PI * model.beta * tau * math.exp(-tau * model.inv_T)
     est = (m_bar - model.alpha) / slope
     half_range = 0.5 / tau
@@ -494,14 +496,15 @@ def compare_frequentist(
         update_model=model,
         master_seed=seed,
     )
-    runs = [(run, rng, rng.bit_generator.state) for run, rng in _campaign(cfg)]
-    adaptive = float(np.median([abs(run.eps_hat - run.eps_true) for run, _, _ in runs]))
+    runs, streams = _campaign(cfg, keep_streams=True)
+    states = [rng.bit_generator.state for rng in streams]
+    adaptive = float(np.median([abs(run.eps_hat - run.eps_true) for run in runs]))
     tau_opt = optimal_tau(sigma0, model.T)
     rows = []
     for mult in tau_multipliers:
         tau = mult * tau_opt
         errors = []
-        for run, rng, state in runs:
+        for run, rng, state in zip(runs, streams, states):
             rng.bit_generator.state = state
             est = frequentist_estimate(run.eps_true, tau, shots, model, rng)
             errors.append(abs(est - run.eps_true))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,10 @@ class NoiseProcess:
     correlation_time: OU correlation time [s] (ou_drift only).
     octave_count: number of OU components for 1/f synthesis (>= 3).
     band: (f_low, f_high) corner-frequency band for 1/f synthesis [Hz].
+
+    A drifting shift is the sum of a bank of OU components of equal variance:
+    one at rate 1/correlation_time for ou_drift, octave_count at log-spaced
+    rates over the band for one_over_f.  A quasistatic shift has none.
     """
 
     kind: str = QUASISTATIC
@@ -65,12 +70,35 @@ class NoiseProcess:
             if not 0.0 < self.band[0] < self.band[1]:
                 raise ValueError(f"invalid band {self.band}")
 
-    def component_rates(self) -> np.ndarray:
-        """Log-spaced OU rates [1/s] covering the configured band (1/f only)."""
-        f_low, f_high = self.band
-        return 2.0 * math.pi * np.logspace(
-            math.log10(f_low), math.log10(f_high), self.octave_count
-        )
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """OU rates [1/s] of the bank's components."""
+        if self.kind == OU_DRIFT:
+            return np.array([1.0 / self.correlation_time])
+        if self.kind == ONE_OVER_F:
+            f_low, f_high = self.band
+            return 2.0 * math.pi * np.logspace(
+                math.log10(f_low), math.log10(f_high), self.octave_count
+            )
+        return np.empty(0)
+
+    @cached_property
+    def component_variance(self) -> float:
+        """Stationary variance of each component [Hz^2]; together they give sigma_eps^2."""
+        return self.sigma_eps**2 / max(self.rates.size, 1)
+
+    def decay(self, dt) -> np.ndarray:
+        """Factor exp(-rate dt) by which each component relaxes over dt."""
+        return np.exp(-self.rates * dt)
+
+    def transition(self, components, decay, z):
+        """Exact OU transition of the components, given one standard normal each in z.
+
+        Each component relaxes by its decay factor and gains the innovation
+        that keeps it stationary; decay = 0 draws a stationary state.  Works
+        elementwise, so a batch of banks can step in lockstep.
+        """
+        return components * decay + np.sqrt(self.component_variance * (1.0 - decay**2)) * z
 
 
 @dataclass(frozen=True)
@@ -84,12 +112,11 @@ class QubitState:
 
 def initial_state(process: NoiseProcess, rng: np.random.Generator) -> QubitState:
     """Draw a stationary starting state for the given noise process."""
-    if process.kind == ONE_OVER_F:
-        k = process.octave_count
-        comp = rng.normal(0.0, process.sigma_eps / math.sqrt(k), size=k)
-        return QubitState(eps_true=float(comp.sum()), components=tuple(comp))
-    eps = float(rng.normal(0.0, process.sigma_eps)) if process.sigma_eps > 0 else 0.0
-    return QubitState(eps_true=eps)
+    if process.kind == QUASISTATIC:
+        eps = float(rng.normal(0.0, process.sigma_eps)) if process.sigma_eps > 0 else 0.0
+        return QubitState(eps_true=eps)
+    comp = process.transition(0.0, 0.0, rng.standard_normal(process.rates.size))
+    return QubitState(eps_true=float(comp.sum()), components=tuple(comp.tolist()))
 
 
 def step_noise(
@@ -101,18 +128,16 @@ def step_noise(
     clock = state.clock + dt
     if process.kind == QUASISTATIC or dt == 0.0:
         return replace(state, clock=clock)
-    if process.kind == OU_DRIFT:
-        decay = math.exp(-dt / process.correlation_time)
-        sd = process.sigma_eps * math.sqrt(max(0.0, 1.0 - decay * decay))
-        eps = state.eps_true * decay + float(rng.normal(0.0, sd)) if sd > 0 else state.eps_true * decay
-        return replace(state, eps_true=eps, clock=clock)
-    # one_over_f: exact transition of each OU component.
-    rates = process.component_rates()
-    comp = np.asarray(state.components)
-    decay = np.exp(-rates * dt)
-    var = (process.sigma_eps**2 / process.octave_count) * (1.0 - decay**2)
-    comp = comp * decay + rng.normal(0.0, np.sqrt(var))
-    return replace(state, eps_true=float(comp.sum()), components=tuple(comp), clock=clock)
+    if len(state.components) != process.rates.size:
+        raise ValueError(
+            f"state has {len(state.components)} noise components, the process {process.rates.size}"
+        )
+    comp = process.transition(
+        np.asarray(state.components), process.decay(dt), rng.standard_normal(process.rates.size)
+    )
+    return replace(
+        state, eps_true=float(comp.sum()), components=tuple(comp.tolist()), clock=clock
+    )
 
 
 def noise_trajectory(
@@ -132,21 +157,12 @@ def noise_trajectory(
     if process.kind == QUASISTATIC:
         return np.full(n_samples, rng.normal(0.0, process.sigma_eps))
 
-    if process.kind == OU_DRIFT:
-        rates = np.array([1.0 / process.correlation_time])
-        variances = np.array([process.sigma_eps**2])
-    else:
-        rates = process.component_rates()
-        variances = np.full(rates.size, process.sigma_eps**2 / rates.size)
-
     out = np.zeros(n_samples)
-    for rate, var in zip(rates, variances):
-        a = math.exp(-rate * dt)
-        innov = rng.normal(0.0, math.sqrt(var * (1.0 - a * a)), size=n_samples)
-        x0 = rng.normal(0.0, math.sqrt(var))
-        innov[0] += a * x0
-        comp, _ = lfilter([1.0], [1.0, -a], innov, zi=[0.0])
-        out += comp
+    for a in process.decay(dt):
+        # x[t] = a x[t-1] + innovation[t]: the transition from zero is the innovation.
+        innov = process.transition(0.0, a, rng.standard_normal(n_samples))
+        innov[0] += a * process.transition(0.0, 0.0, rng.standard_normal())
+        out += lfilter([1.0], [1.0, -a], innov)
     return out
 
 
@@ -161,12 +177,6 @@ def sample_outcome(
     return 1 if rng.random() < p_plus else -1
 
 
-def cycle_duration(
-    probe: ProbeSettings,
-    readout_time: float = READOUT_TIME,
-    depletion_time: float = DEPLETION_TIME,
-) -> float:
-    """Wall-clock duration of one probing cycle: evolution plus fixed overheads."""
-    if readout_time < 0.0 or depletion_time < 0.0:
-        raise ValueError("overheads must be non-negative")
-    return probe.tau + readout_time + depletion_time
+def cycle_duration(probe: ProbeSettings) -> float:
+    """Wall-clock duration of one probing cycle: evolution plus readout and depletion."""
+    return probe.tau + READOUT_TIME + DEPLETION_TIME

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from freqtrack import experiments
 from freqtrack.cli import (
     ScenarioError,
     main,
@@ -37,6 +38,24 @@ class TestScenarioResolution:
         cfg.write_text(json.dumps({"bananas": 1}))
         with pytest.raises(ScenarioError):
             parse_scenario(["estimate", "--config", str(cfg)])
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"runs": 40.9}, {"n": 2.5}, {"runs": 40.0}, {"runs": True}, {"seed": 1.5}],
+    )
+    def test_non_integer_config_value_rejected(self, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["campaign", "--config", str(cfg), "--output", str(out / "c.csv")]) == 1
+        assert "freqtrack:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_config_values_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"runs": 40, "n": 2, "seed": 3}))
+        s = parse_scenario(["campaign", "--config", str(cfg)])
+        assert (s.params["runs"], s.params["n"], s.seed) == (40, 2, 3)
 
     def test_invalid_model_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -97,6 +116,23 @@ class TestExitCodes:
         assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 1
         assert "freqtrack:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_fit_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # Every result is computed before the first file is written.
+        def fail(record):
+            raise experiments.FitError("no convergence")
+
+        monkeypatch.setattr(experiments, "fit_fringe", fail)
+        argv = ["track", "--cycles", "10", "--repetitions", "5"]
+        assert main([*argv, "--output", str(tmp_path / "track.csv")]) == 2
+        assert "no convergence" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "camp.summary.json").mkdir()  # the summary cannot replace a directory
+        argv = ["campaign", "--runs", "3", "--n", "2", "--output", str(tmp_path / "camp.csv")]
+        assert main(argv) == 2
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     def test_success_exits_0(self, tmp_path):
         out = tmp_path / "run.csv"

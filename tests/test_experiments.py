@@ -17,6 +17,7 @@ from freqtrack.estimator import (
     GaussianBelief,
     LikelihoodModel,
     design_probe,
+    run_estimation,
     update,
 )
 from freqtrack.experiments import (
@@ -38,6 +39,7 @@ from freqtrack.qubitsim import (
     NoiseProcess,
     cycle_duration,
     initial_state,
+    rng_for_run,
     sample_outcome,
     step_noise,
 )
@@ -149,6 +151,60 @@ class TestCampaign:
         drifting = run_campaign(CampaignConfig(noise=NoiseProcess(kind="one_over_f"), **common))
         ratio = np.median(np.abs(drifting.errors)) / np.median(np.abs(quasistatic.errors))
         assert ratio == pytest.approx(1.0, abs=0.15)
+
+
+def _replay_run(cfg: CampaignConfig, i: int) -> RunResult:
+    """Run i of cfg on its own stream, through the public scalar API."""
+    rng = rng_for_run(cfg.master_seed, i)
+    eps0 = cfg.prior.mu + cfg.prior.sigma * float(rng.standard_normal())
+    drifting = cfg.noise is not None and cfg.noise.kind != "quasistatic"
+    state = initial_state(cfg.noise, rng) if drifting else None
+    eps = [eps0 + state.eps_true if drifting else eps0]
+
+    def measure(probe):
+        nonlocal state
+        m = sample_outcome(eps[0], probe, cfg.truth_model, rng)
+        if drifting:
+            state = step_noise(cfg.noise, state, cycle_duration(probe), rng)
+            eps[0] = eps0 + state.eps_true
+        return m
+
+    final, _ = run_estimation(cfg.prior, cfg.n_shots, cfg.update_model, measure)
+    return RunResult(eps_true=eps[0], eps_hat=final.mu, final_sigma=final.sigma)
+
+
+class TestCampaignReplay:
+    # The lockstep campaign and a run replayed on its own stream through
+    # run_estimation differ only where np.exp and math.exp differ by an ulp.
+    @pytest.mark.parametrize(
+        "kind, update_model",
+        [
+            (None, REFERENCE_MODEL),
+            (None, IDEAL_MODEL),
+            ("quasistatic", REFERENCE_MODEL),
+            ("one_over_f", REFERENCE_MODEL),
+            ("ou_drift", REFERENCE_MODEL),
+        ],
+    )
+    def test_each_run_matches_scalar_replay(self, kind, update_model):
+        cfg = CampaignConfig(
+            run_count=200,
+            n_shots=15,
+            prior=GaussianBelief(0.0, 1e6),
+            truth_model=REFERENCE_MODEL,
+            update_model=update_model,
+            noise=None if kind is None else NoiseProcess(kind=kind),
+            master_seed=6,
+        )
+        for i, run in enumerate(campaign_runs(cfg)):
+            replay = _replay_run(cfg, i)
+            tol = 1e-12 * replay.final_sigma
+            if kind in (None, "quasistatic"):
+                assert run.eps_true == replay.eps_true
+            else:
+                assert abs(run.eps_true - replay.eps_true) <= tol
+            assert abs(run.eps_hat - replay.eps_hat) <= tol
+            assert abs(run.final_sigma - replay.final_sigma) <= tol
 
 
 class TestMadCalibration:
