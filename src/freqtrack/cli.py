@@ -115,8 +115,6 @@ _SCHEMAS: dict[str, dict] = {
 
 
 def _coerce(name: str, kind, value):
-    if value is None:
-        return None
     try:
         # Flags arrive as strings; a config file must give an integer as a JSON integer.
         if kind is int and not isinstance(value, str) and type(value) is not int:
@@ -156,7 +154,9 @@ def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -
             continue
         if key not in schema:
             raise ScenarioError(f"unknown config key '{key}' for command '{command}'")
-        params[key] = _coerce(key, schema[key][0], value)
+        kind, default, _ = schema[key]
+        # null stands for a default of None only (estimate's eps_true: draw from the prior)
+        params[key] = None if value is None and default is None else _coerce(key, kind, value)
 
     for key, value in flag_values.items():
         if key in schema and value is not None:
@@ -164,7 +164,8 @@ def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -
 
     seed = flag_values.get("seed")
     if seed is None:
-        seed = _coerce("seed", int, config.get("seed")) or 0
+        seed = config.get("seed")
+        seed = 0 if seed is None else _coerce("seed", int, seed)
     fmt = flag_values.get("format") or config.get("format") or "csv"
     if fmt not in ("csv", "json"):
         raise ScenarioError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -193,7 +194,7 @@ def _validate_params(command: str, params: dict) -> None:
     """Check every parameter against its schema bound, then the models' own constraints."""
     for key, (_, _, bound) in _SCHEMAS[command].items():
         value = params[key]
-        if bound is None or value is None:
+        if bound is None:
             continue
         low, exclusive = bound
         if not all(v > low if exclusive else v >= low for v in np.atleast_1d(value)):
@@ -230,14 +231,20 @@ def _json_text(doc: dict) -> str:
 
 
 def _write_files(files: list[tuple[Path, str]]) -> None:
-    """Write every file beside its target, then move each into place; leave no temp file."""
+    """Write every file beside its target, then move all into place; on failure leave none."""
     tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in files]
+    placed = []
     try:
         for tmp, (_, text) in zip(tmps, files):
             tmp.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_text(text)
         for tmp, (path, _) in zip(tmps, files):
             os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for path in placed:
+            path.unlink(missing_ok=True)
+        raise
     finally:
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
@@ -284,11 +291,11 @@ def _run_campaign(scenario: Scenario) -> tuple[list[str], list[list], dict | Non
         update_model=_model_from(p),
         master_seed=scenario.seed,
     )
-    runs = experiments.campaign_runs(cfg)
-    stats = experiments.ErrorStats.from_runs(runs)
-    rows = [[i, r.eps_true, r.eps_hat, r.final_sigma] for i, r in enumerate(runs)]
+    stats = experiments.run_campaign(cfg)
+    runs = zip(stats.eps_true.tolist(), stats.eps_hat.tolist(), stats.final_sigmas.tolist())
+    rows = [[i, eps_true, eps_hat, sigma] for i, (eps_true, eps_hat, sigma) in enumerate(runs)]
     summary = {
-        "n_runs": len(runs),
+        "n_runs": len(rows),
         "mean_final_sigma_hz": stats.mean_final_sigma,
         "std_hz": stats.std,
         "mad_hz": stats.mad,

@@ -65,41 +65,37 @@ class CampaignConfig:
             raise ValueError(f"n_shots must be >= 0, got {self.n_shots}")
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Per-run campaign record."""
-
-    eps_true: float
-    eps_hat: float
-    final_sigma: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorStats:
-    """Aggregate error statistics of a campaign."""
+    """A campaign's per-run shifts, final means and final sigmas [Hz], and their statistics."""
 
-    errors: np.ndarray  # eps_hat - eps_true, per run [Hz]
+    eps_true: np.ndarray
+    eps_hat: np.ndarray
     final_sigmas: np.ndarray
-    mean_final_sigma: float
-    std: float
-    mad: float
-    outlier_fraction: float  # |error| > 3 * final sigma of the run
-    calibration_fraction: float  # |error| <= final sigma of the run
 
-    @classmethod
-    def from_runs(cls, runs: list[RunResult]) -> "ErrorStats":
-        errors = np.array([r.eps_hat - r.eps_true for r in runs])
-        sigmas = np.array([r.final_sigma for r in runs])
-        abs_err = np.abs(errors)
-        return cls(
-            errors=errors,
-            final_sigmas=sigmas,
-            mean_final_sigma=float(sigmas.mean()),
-            std=float(errors.std()),
-            mad=float(np.median(np.abs(errors - np.median(errors)))),
-            outlier_fraction=float(np.mean(abs_err > 3.0 * sigmas)),
-            calibration_fraction=float(np.mean(abs_err <= sigmas)),
-        )
+    @property
+    def errors(self) -> np.ndarray:  # eps_hat - eps_true, per run [Hz]
+        return self.eps_hat - self.eps_true
+
+    @property
+    def mean_final_sigma(self) -> float:
+        return float(self.final_sigmas.mean())
+
+    @property
+    def std(self) -> float:
+        return float(self.errors.std())
+
+    @property
+    def mad(self) -> float:
+        return float(np.median(np.abs(self.errors - np.median(self.errors))))
+
+    @property
+    def outlier_fraction(self) -> float:  # |error| > 3 * final sigma of the run
+        return float(np.mean(np.abs(self.errors) > 3.0 * self.final_sigmas))
+
+    @property
+    def calibration_fraction(self) -> float:  # |error| <= final sigma of the run
+        return float(np.mean(np.abs(self.errors) <= self.final_sigmas))
 
 
 def _lockstep(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None):
@@ -131,20 +127,20 @@ def _lockstep(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None):
     return mu, sigma, eps_true
 
 
-def _campaign(cfg: CampaignConfig, keep_streams: bool = False) -> tuple[list[RunResult], list]:
-    """(runs, streams if keep_streams else []): every run of the campaign, in lockstep.
+def _campaign(cfg: CampaignConfig, extra: int = 0) -> tuple[ErrorStats, np.ndarray]:
+    """(stats, u_extra): every run of the campaign, in lockstep.
 
     Run i draws all its variates up front from its own stream rng_for_run,
     in the order a run on its own uses them: the prior draw; under drift,
     one normal per noise component; then per shot one uniform and, under
-    drift, one normal per component.  A kept stream continues from there.
+    drift, one normal per component.  u_extra[:, i] holds the next `extra`
+    uniforms of run i's stream.
     """
     n, R = cfg.n_shots, cfg.run_count
     k = cfg.noise.rates.size if cfg.noise is not None else 0
     z_prior = np.empty(R)
-    u = np.empty((n, R))
+    u = np.empty((n + extra, R))
     z = np.empty((n + 1, R, k)) if k else None
-    streams = []
     for i in range(R):
         rng = rng_for_run(cfg.master_seed, i)
         z_prior[i] = rng.standard_normal()
@@ -153,27 +149,20 @@ def _campaign(cfg: CampaignConfig, keep_streams: bool = False) -> tuple[list[Run
             for shot in range(n):
                 u[shot, i] = rng.random()
                 z[shot + 1, i] = rng.standard_normal(k)
+            u[n:, i] = rng.random(extra)
         else:
-            u[:, i] = rng.random(n)
-        if keep_streams:
-            streams.append(rng)
+            u[:, i] = rng.random(n + extra)
     mu0, sigma0 = np.full(R, cfg.prior.mu), np.full(R, cfg.prior.sigma)
     eps0 = cfg.prior.mu + cfg.prior.sigma * z_prior
     mu, sigma, eps_true = _lockstep(
-        mu0, sigma0, eps0, u, cfg.truth_model, cfg.update_model, cfg.noise, z
+        mu0, sigma0, eps0, u[:n], cfg.truth_model, cfg.update_model, cfg.noise, z
     )
-    runs = [RunResult(*run) for run in zip(eps_true.tolist(), mu.tolist(), sigma.tolist())]
-    return runs, streams
-
-
-def campaign_runs(cfg: CampaignConfig) -> list[RunResult]:
-    """Per-run records of the campaign; per-run RNG streams make each independent of the rest."""
-    return _campaign(cfg)[0]
+    return ErrorStats(eps_true, mu, sigma), u[n:]
 
 
 def run_campaign(cfg: CampaignConfig) -> ErrorStats:
-    """Error statistics of the campaign."""
-    return ErrorStats.from_runs(campaign_runs(cfg))
+    """Every run of the campaign; per-run RNG streams make each independent of the rest."""
+    return _campaign(cfg)[0]
 
 
 def mad_calibration(stats: ErrorStats) -> tuple[float, float]:
@@ -232,8 +221,7 @@ def gaussian_validity_sweep(
             post = oracle.grid_update(grid_prior, m, probe, model)
             fit = oracle.gaussian_fit(post)
             gauss = oracle.GridPosterior(
-                post.eps_values,
-                _normal_weights(post.eps_values, fit.mu, fit.sigma),
+                post.eps_values, oracle.normal_weights(post.eps_values, fit.mu, fit.sigma)
             )
             rows.append(
                 SweepRow(
@@ -246,11 +234,6 @@ def gaussian_validity_sweep(
                 )
             )
     return rows
-
-
-def _normal_weights(eps: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    w = np.exp(-0.5 * ((eps - mu) / sigma) ** 2)
-    return w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +436,21 @@ def frequentist_estimate(
     E[m] ~= alpha + 2 pi beta tau e^(-tau/T) eps for small shifts.  The
     estimate is clamped to the unambiguous range (-1/(2 tau), +1/(2 tau)].
     """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    p_plus = float(likelihood_probability(+1, eps_true, ProbeSettings(tau, 0.25 / tau), model))
-    m_bar = (2 * int(np.count_nonzero(rng.random(shots) < p_plus)) - shots) / shots
+    return float(_frequentist_estimates(eps_true, tau, rng.random(shots), model))
+
+
+def _frequentist_estimates(eps, tau: float, u: np.ndarray, model: LikelihoodModel):
+    """frequentist_estimate of each shift in eps, shot s measuring +1 where u[s] < P(+1)."""
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    shots = u.shape[0]
+    p_plus = likelihood_probability(+1, eps, ProbeSettings(tau, 0.25 / tau), model)
+    m_bar = (2 * np.count_nonzero(u < p_plus, axis=0) - shots) / shots
     slope = TWO_PI * model.beta * tau * math.exp(-tau * model.inv_T)
-    est = (m_bar - model.alpha) / slope
     half_range = 0.5 / tau
-    return float(min(max(est, -half_range), half_range))
+    return np.clip((m_bar - model.alpha) / slope, -half_range, half_range)
 
 
 class ComparisonRow(NamedTuple):
@@ -485,9 +473,11 @@ def compare_frequentist(
     """Adaptive estimation against the fixed-tau baseline on the same shifts and shot budget.
 
     Run i estimates a shift drawn from N(0, sigma0) on stream i, once; the
-    frequentist shots at each tau = multiplier * tau_opt continue that stream
-    from where the adaptive shots left it.
+    frequentist shots at each tau = multiplier * tau_opt are the `shots`
+    uniforms that follow the adaptive shots on that stream.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     cfg = CampaignConfig(
         run_count=run_count,
         n_shots=shots,
@@ -496,17 +486,14 @@ def compare_frequentist(
         update_model=model,
         master_seed=seed,
     )
-    runs, streams = _campaign(cfg, keep_streams=True)
-    states = [rng.bit_generator.state for rng in streams]
-    adaptive = float(np.median([abs(run.eps_hat - run.eps_true) for run in runs]))
+    stats, u = _campaign(cfg, extra=shots)
+    adaptive = float(np.median(np.abs(stats.errors)))
     tau_opt = optimal_tau(sigma0, model.T)
     rows = []
     for mult in tau_multipliers:
         tau = mult * tau_opt
-        errors = []
-        for run, rng, state in zip(runs, streams, states):
-            rng.bit_generator.state = state
-            est = frequentist_estimate(run.eps_true, tau, shots, model, rng)
-            errors.append(abs(est - run.eps_true))
-        rows.append(ComparisonRow(mult, tau, adaptive, float(np.median(errors))))
+        est = _frequentist_estimates(stats.eps_true, tau, u, model)
+        rows.append(
+            ComparisonRow(mult, tau, adaptive, float(np.median(np.abs(est - stats.eps_true))))
+        )
     return rows

@@ -51,8 +51,13 @@ def from_gaussian(
         belief.mu + half_width_sigmas * belief.sigma,
         points,
     )
-    w = np.exp(-0.5 * ((eps - belief.mu) / belief.sigma) ** 2)
-    return GridPosterior(eps, w / w.sum())
+    return GridPosterior(eps, normal_weights(eps, belief.mu, belief.sigma))
+
+
+def normal_weights(eps: np.ndarray, mu: float, sigma: float) -> np.ndarray:
+    """Weights of N(mu, sigma^2) at the grid points eps, normalized to sum to 1."""
+    w = np.exp(-0.5 * ((eps - mu) / sigma) ** 2)
+    return w / w.sum()
 
 
 def grid_update(

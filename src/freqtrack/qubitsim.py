@@ -10,7 +10,7 @@ synthesized as a sum of OU components with log-spaced rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -103,10 +103,9 @@ class NoiseProcess:
 
 @dataclass(frozen=True)
 class QubitState:
-    """Simulated qubit: true shift, elapsed clock, noise internals."""
+    """Simulated qubit: true shift and noise internals."""
 
     eps_true: float = 0.0
-    clock: float = 0.0
     components: tuple[float, ...] = ()
 
 
@@ -125,9 +124,8 @@ def step_noise(
     """Advance the true shift by dt; quasistatic shifts stay put within a run."""
     if dt < 0.0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    clock = state.clock + dt
     if process.kind == QUASISTATIC or dt == 0.0:
-        return replace(state, clock=clock)
+        return state
     if len(state.components) != process.rates.size:
         raise ValueError(
             f"state has {len(state.components)} noise components, the process {process.rates.size}"
@@ -135,9 +133,7 @@ def step_noise(
     comp = process.transition(
         np.asarray(state.components), process.decay(dt), rng.standard_normal(process.rates.size)
     )
-    return replace(
-        state, eps_true=float(comp.sum()), components=tuple(comp.tolist()), clock=clock
-    )
+    return QubitState(eps_true=float(comp.sum()), components=tuple(comp.tolist()))
 
 
 def noise_trajectory(

@@ -28,7 +28,6 @@ from freqtrack.experiments import (
     MAD_TO_SIGMA,
     CampaignConfig,
     ErrorStats,
-    RunResult,
     closed_loop_track,
     fit_fringe,
     frequentist_estimate,
@@ -61,7 +60,7 @@ def _exact_projection_campaign(cfg: CampaignConfig) -> ErrorStats:
     probes with design_probe, and replaces the closed-form update by the
     mean and sigma of oracle.grid_update applied to the Gaussian belief.
     """
-    runs = []
+    runs = np.empty((3, cfg.run_count))
     for i in range(cfg.run_count):
         rng = rng_for_run(cfg.master_seed, i)
         eps_true = cfg.prior.mu + cfg.prior.sigma * float(rng.standard_normal())
@@ -71,8 +70,8 @@ def _exact_projection_campaign(cfg: CampaignConfig) -> ErrorStats:
             m = sample_outcome(eps_true, probe, cfg.truth_model, rng)
             grid = oracle.GridPosterior(belief.mu + belief.sigma * _EXACT_Z, _EXACT_Z_WEIGHTS)
             belief = oracle.gaussian_fit(oracle.grid_update(grid, m, probe, cfg.update_model))
-        runs.append(RunResult(eps_true=eps_true, eps_hat=belief.mu, final_sigma=belief.sigma))
-    return ErrorStats.from_runs(runs)
+        runs[:, i] = eps_true, belief.mu, belief.sigma
+    return ErrorStats(*runs)
 
 
 class TestAcceptance:

@@ -51,6 +51,31 @@ class TestScenarioResolution:
         assert "freqtrack:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("campaign", {"runs": None}),
+            ("estimate", {"sigma0": None}),
+            ("estimate", {"mu0": None}),
+            ("validate-gaussian", {"multipliers": None}),
+            ("track", {"cycles": None}),
+        ],
+    )
+    def test_null_config_value_rejected(self, command, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output", str(out / "o.csv")]) == 1
+        assert "freqtrack:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_eps_true_draws_from_prior(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps_true": None, "n": 2}))
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", str(cfg), "--output", str(out)]) == 0
+        assert out.exists()
+
     def test_integer_config_values_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"runs": 40, "n": 2, "seed": 3}))
@@ -133,6 +158,7 @@ class TestExitCodes:
         argv = ["campaign", "--runs", "3", "--n", "2", "--output", str(tmp_path / "camp.csv")]
         assert main(argv) == 2
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        assert not (tmp_path / "camp.csv").exists()  # no output without its summary
 
     def test_success_exits_0(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from freqtrack.estimator import (
     GaussianBelief,
     LikelihoodModel,
     design_probe,
+    optimal_tau,
     run_estimation,
     update,
 )
@@ -25,8 +27,6 @@ from freqtrack.experiments import (
     CampaignConfig,
     ErrorStats,
     FringeRecord,
-    RunResult,
-    campaign_runs,
     closed_loop_track,
     compare_frequentist,
     fit_fringe,
@@ -113,9 +113,10 @@ class TestCampaign:
             update_model=REFERENCE_MODEL,
             master_seed=5,
         )
-        short = campaign_runs(CampaignConfig(run_count=5, **base))
-        longer = campaign_runs(CampaignConfig(run_count=10, **base))
-        assert short == longer[:5]
+        short = run_campaign(CampaignConfig(run_count=5, **base))
+        longer = run_campaign(CampaignConfig(run_count=10, **base))
+        for name in ("eps_true", "eps_hat", "final_sigmas"):
+            np.testing.assert_array_equal(getattr(short, name), getattr(longer, name)[:5])
 
     def test_invalid_config_rejected(self):
         prior = GaussianBelief(0.0, 1e6)
@@ -153,8 +154,11 @@ class TestCampaign:
         assert ratio == pytest.approx(1.0, abs=0.15)
 
 
-def _replay_run(cfg: CampaignConfig, i: int) -> RunResult:
-    """Run i of cfg on its own stream, through the public scalar API."""
+def _replay_run(cfg: CampaignConfig, i: int) -> tuple[float, float, float]:
+    """Run i of cfg on its own stream, through the public scalar API.
+
+    Returns (eps_true, eps_hat, final_sigma).
+    """
     rng = rng_for_run(cfg.master_seed, i)
     eps0 = cfg.prior.mu + cfg.prior.sigma * float(rng.standard_normal())
     drifting = cfg.noise is not None and cfg.noise.kind != "quasistatic"
@@ -170,7 +174,7 @@ def _replay_run(cfg: CampaignConfig, i: int) -> RunResult:
         return m
 
     final, _ = run_estimation(cfg.prior, cfg.n_shots, cfg.update_model, measure)
-    return RunResult(eps_true=eps[0], eps_hat=final.mu, final_sigma=final.sigma)
+    return eps[0], final.mu, final.sigma
 
 
 class TestCampaignReplay:
@@ -196,33 +200,31 @@ class TestCampaignReplay:
             noise=None if kind is None else NoiseProcess(kind=kind),
             master_seed=6,
         )
-        for i, run in enumerate(campaign_runs(cfg)):
-            replay = _replay_run(cfg, i)
-            tol = 1e-12 * replay.final_sigma
+        stats = run_campaign(cfg)
+        runs = zip(stats.eps_true, stats.eps_hat, stats.final_sigmas)
+        for i, (eps_true, eps_hat, final_sigma) in enumerate(runs):
+            replay_eps_true, replay_eps_hat, replay_sigma = _replay_run(cfg, i)
+            tol = 1e-12 * replay_sigma
             if kind in (None, "quasistatic"):
-                assert run.eps_true == replay.eps_true
+                assert eps_true == replay_eps_true
             else:
-                assert abs(run.eps_true - replay.eps_true) <= tol
-            assert abs(run.eps_hat - replay.eps_hat) <= tol
-            assert abs(run.final_sigma - replay.final_sigma) <= tol
+                assert abs(eps_true - replay_eps_true) <= tol
+            assert abs(eps_hat - replay_eps_hat) <= tol
+            assert abs(final_sigma - replay_sigma) <= tol
 
 
 class TestMadCalibration:
     def test_synthetic_gaussian_errors(self):
         rng = np.random.default_rng(6)
         s = 40e3
-        runs = [
-            RunResult(eps_true=0.0, eps_hat=float(rng.normal(0.0, s)), final_sigma=s)
-            for _ in range(20000)
-        ]
-        scaled, ratio = mad_calibration(ErrorStats.from_runs(runs))
+        stats = ErrorStats(np.zeros(20000), rng.normal(0.0, s, 20000), np.full(20000, s))
+        scaled, ratio = mad_calibration(stats)
         assert scaled == pytest.approx(s, rel=0.03)
         assert ratio == pytest.approx(1.0, abs=0.03)
 
     def test_requires_large_sample(self):
-        runs = [RunResult(0.0, 1.0, 1.0) for _ in range(10)]
         with pytest.raises(ValueError):
-            mad_calibration(ErrorStats.from_runs(runs))
+            mad_calibration(ErrorStats(np.zeros(10), np.ones(10), np.ones(10)))
 
 
 class TestGaussianValiditySweep:
@@ -362,6 +364,22 @@ class TestFrequentistBaseline:
         assert abs(est) <= 0.5 / tau
         assert abs(est - eps) > 0.25 / tau  # cannot resolve it
 
+    @pytest.mark.parametrize("plus_count", [0, 1, 2, 3, 4])
+    def test_inverts_the_mean_outcome(self, plus_count):
+        # Uniforms 0 give +1 and uniforms near 1 give -1, so the mean outcome
+        # is (2 k - n) / n; the estimate inverts alpha + 2 pi beta tau e^(-tau/T) eps
+        # and clamps to +-1/(2 tau), which this low-contrast model reaches.
+        model = LikelihoodModel(alpha=-0.02, beta=0.3, T=10e-6)
+        tau, shots = 2e-6, 4
+        uniforms = np.array([0.0] * plus_count + [1.0 - 1e-12] * (shots - plus_count))
+        stub = SimpleNamespace(random=lambda size: uniforms[:size])
+        m_bar = (2 * plus_count - shots) / shots
+        slope = 2 * math.pi * model.beta * tau * math.exp(-tau / model.T)
+        expected = min(max((m_bar - model.alpha) / slope, -0.5 / tau), 0.5 / tau)
+        assert frequentist_estimate(0.0, tau, shots, model, stub) == pytest.approx(
+            expected, rel=1e-12
+        )
+
     def test_contracts(self):
         rng = np.random.default_rng(12)
         with pytest.raises(ValueError):
@@ -387,6 +405,39 @@ class TestCompareFrequentist:
         alone = compare_frequentist(1e6, 15, 40, [2.0], IDEAL_MODEL, seed=4)
         assert both[1] == alone[0]
         assert both[0].adaptive_median_abs_error == both[1].adaptive_median_abs_error
+
+    @pytest.mark.parametrize("model", [IDEAL_MODEL, REFERENCE_MODEL])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_matches_run_by_run_baseline(self, model, seed):
+        # Reference: each run's stream continued through the public
+        # frequentist_estimate, rewound to the end of its adaptive shots
+        # before each multiplier.
+        sigma0, shots, run_count, mults = 1e6, 15, 150, [0.5, 1.0, 2.0, 4.0]
+        cfg = CampaignConfig(
+            run_count=run_count,
+            n_shots=shots,
+            prior=GaussianBelief(0.0, sigma0),
+            truth_model=model,
+            update_model=model,
+            master_seed=seed,
+        )
+        shifts, streams = [], []
+        for i in range(run_count):
+            rng = rng_for_run(seed, i)
+            shifts.append(sigma0 * float(rng.standard_normal()))
+            rng.random(shots)  # the adaptive shots
+            streams.append(rng)
+        states = [rng.bit_generator.state for rng in streams]
+        adaptive = float(np.median(np.abs(run_campaign(cfg).errors)))
+        expected = []
+        for mult in mults:
+            tau = mult * optimal_tau(sigma0, model.T)
+            errors = []
+            for eps_true, rng, state in zip(shifts, streams, states):
+                rng.bit_generator.state = state
+                errors.append(abs(frequentist_estimate(eps_true, tau, shots, model, rng) - eps_true))
+            expected.append((mult, tau, adaptive, float(np.median(errors))))
+        assert compare_frequentist(sigma0, shots, run_count, mults, model, seed) == expected
 
 
 def test_import_leaves_scipy_optimize_unloaded():

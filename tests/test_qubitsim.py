@@ -81,12 +81,6 @@ class TestNoiseProcess:
             samples[i] = state.eps_true
         assert samples.var() == pytest.approx(1.0, rel=0.05)
 
-    def test_clock_advances(self):
-        proc = NoiseProcess(kind="quasistatic", sigma_eps=0.0)
-        rng = np.random.default_rng(5)
-        state = step_noise(proc, initial_state(proc, rng), 2.5e-6, rng)
-        assert state.clock == pytest.approx(2.5e-6)
-
     @pytest.mark.parametrize("kind", ["ou_drift", "one_over_f"])
     def test_batch_transition_matches_step_noise(self, kind):
         # The lockstep campaign steps many banks at once; each row must be
