@@ -166,6 +166,8 @@ def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -
     if seed is None:
         seed = config.get("seed")
         seed = 0 if seed is None else _coerce("seed", int, seed)
+    if not 0 <= seed < 2**128:  # the keys a Philox stream accepts
+        raise ScenarioError(f"seed must be >= 0 and < 2**128, got {seed}")
     fmt = flag_values.get("format") or config.get("format") or "csv"
     if fmt not in ("csv", "json"):
         raise ScenarioError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -394,11 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None, help="output file path")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
         for key, (kind, default, _) in schema.items():
-            flag = "--" + key.replace("_", "-")
-            if kind is list:
-                sp.add_argument(flag, default=None, help=f"comma-separated (default {default})")
-            else:
-                sp.add_argument(flag, default=None, help=f"default {default}")
+            text = f"comma-separated (default {default})" if kind is list else f"default {default}"
+            sp.add_argument("--" + key.replace("_", "-"), default=None, help=text)
     return parser
 
 

@@ -31,7 +31,7 @@ from .qubitsim import (
     QUASISTATIC,
     READOUT_TIME,
     NoiseProcess,
-    rng_for_run,
+    standard_normals,
 )
 
 MAD_TO_SIGMA = 1.4826  # scales a median absolute deviation to a Gaussian sigma
@@ -63,6 +63,8 @@ class CampaignConfig:
             raise ValueError(f"run_count must be >= 1, got {self.run_count}")
         if self.n_shots < 0:
             raise ValueError(f"n_shots must be >= 0, got {self.n_shots}")
+        if not 0 <= self.master_seed < 2**128:  # the keys Philox accepts
+            raise ValueError(f"master_seed must be >= 0 and < 2**128, got {self.master_seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,32 +132,22 @@ def _lockstep(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None):
 def _campaign(cfg: CampaignConfig, extra: int = 0) -> tuple[ErrorStats, np.ndarray]:
     """(stats, u_extra): every run of the campaign, in lockstep.
 
-    Run i draws all its variates up front from its own stream rng_for_run,
-    in the order a run on its own uses them: the prior draw; under drift,
-    one normal per noise component; then per shot one uniform and, under
-    drift, one normal per component.  u_extra[:, i] holds the next `extra`
-    uniforms of run i's stream.
+    Row i of one Philox block, the stream rng_for_run(master_seed, i, width), holds run
+    i's variates: two uniforms for the prior normal, one per shot, `extra` more (u_extra[:, i]),
+    two per pair of the k (n + 1) drift normals z, then padding to a multiple of 4.
     """
     n, R = cfg.n_shots, cfg.run_count
     k = cfg.noise.rates.size if cfg.noise is not None else 0
-    z_prior = np.empty(R)
-    u = np.empty((n + extra, R))
-    z = np.empty((n + 1, R, k)) if k else None
-    for i in range(R):
-        rng = rng_for_run(cfg.master_seed, i)
-        z_prior[i] = rng.standard_normal()
-        if k:
-            z[0, i] = rng.standard_normal(k)
-            for shot in range(n):
-                u[shot, i] = rng.random()
-                z[shot + 1, i] = rng.standard_normal(k)
-            u[n:, i] = rng.random(extra)
-        else:
-            u[:, i] = rng.random(n + extra)
+    start, drift = 2 + n + extra, k * (n + 1)
+    stop = start + drift + drift % 2
+    bits = np.random.Philox(key=cfg.master_seed)  # loads numpy.random here, not on import
+    block = np.random.Generator(bits).random((R, stop + -stop % 4))
+    eps0 = cfg.prior.mu + cfg.prior.sigma * standard_normals(block[:, :2])[:, 0]
+    u = block[:, 2:start].T
+    z = standard_normals(block[:, start:stop])[:, :drift].reshape(R, n + 1, k).swapaxes(0, 1)
     mu0, sigma0 = np.full(R, cfg.prior.mu), np.full(R, cfg.prior.sigma)
-    eps0 = cfg.prior.mu + cfg.prior.sigma * z_prior
     mu, sigma, eps_true = _lockstep(
-        mu0, sigma0, eps0, u[:n], cfg.truth_model, cfg.update_model, cfg.noise, z
+        mu0, sigma0, eps0, u[:n], cfg.truth_model, cfg.update_model, cfg.noise, z if k else None
     )
     return ErrorStats(eps_true, mu, sigma), u[n:]
 
@@ -478,14 +470,8 @@ def compare_frequentist(
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    cfg = CampaignConfig(
-        run_count=run_count,
-        n_shots=shots,
-        prior=GaussianBelief(0.0, sigma0),
-        truth_model=model,
-        update_model=model,
-        master_seed=seed,
-    )
+    prior = GaussianBelief(0.0, sigma0)
+    cfg = CampaignConfig(run_count, shots, prior, model, model, master_seed=seed)
     stats, u = _campaign(cfg, extra=shots)
     adaptive = float(np.median(np.abs(stats.errors)))
     tau_opt = optimal_tau(sigma0, model.T)

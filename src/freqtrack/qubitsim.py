@@ -26,14 +26,28 @@ OU_DRIFT = "ou_drift"
 ONE_OVER_F = "one_over_f"
 
 
-def rng_for_run(master_seed: int, run_index: int) -> np.random.Generator:
-    """Independent per-run stream derived from (master seed, run index).
+def rng_for_run(master_seed: int, run_index: int, width: int = 2**32) -> np.random.Generator:
+    """The master seed's Philox stream from double run_index * width on.
 
-    Streams are stable regardless of how runs are scheduled across workers.
+    For a width that is a multiple of 4 (doubles per Philox block) this is row
+    run_index of Generator(Philox(key=master_seed)).random((R, width)), for any R.
+    The default width exceeds any campaign row, so its streams do not overlap.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,))
-    )
+    return np.random.Generator(np.random.Philox(key=master_seed).advance(run_index * width // 4))
+
+
+def standard_normals(u: np.ndarray) -> np.ndarray:
+    """Box-Muller standard normals from 2p uniforms in [0, 1) along the last axis.
+
+    The first p set the radii (log1p(-u) keeps u = 0 finite) and the next p the
+    angles 2 pi u - pi.  Their p cosines come first, then their p sines, both as
+    (1 - t^2, 2t) / (1 + t^2) from one tangent t of the half angle.
+    """
+    p = u.shape[-1] // 2
+    radius = np.sqrt(-2.0 * np.log1p(-u[..., :p]))
+    t = np.tan(math.pi * (u[..., p : 2 * p] - 0.5))
+    scale = radius / (1.0 + t * t)
+    return np.concatenate((scale * (1.0 - t * t), scale * (2.0 * t)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -124,12 +138,12 @@ def step_noise(
     """Advance the true shift by dt; quasistatic shifts stay put within a run."""
     if dt < 0.0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    if process.kind == QUASISTATIC or dt == 0.0:
-        return state
     if len(state.components) != process.rates.size:
         raise ValueError(
             f"state has {len(state.components)} noise components, the process {process.rates.size}"
         )
+    if process.kind == QUASISTATIC or dt == 0.0:
+        return state
     comp = process.transition(
         np.asarray(state.components), process.decay(dt), rng.standard_normal(process.rates.size)
     )

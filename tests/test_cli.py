@@ -142,6 +142,22 @@ class TestExitCodes:
         assert "freqtrack:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["minus_1", "2_pow_128"])
+    @pytest.mark.parametrize(
+        "command", ["estimate", "campaign", "validate-gaussian", "track", "compare-frequentist"]
+    )
+    def test_seed_outside_philox_keys_exits_1(self, command, seed, tmp_path, capsys):
+        # A Philox key, which seeds a campaign's streams, is in [0, 2**128).
+        assert main([command, "--seed", str(seed), "--output", str(tmp_path / "out.csv")]) == 1
+        assert "seed must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_seed_accepted(self, tmp_path):
+        out = tmp_path / "c.csv"
+        argv = ["campaign", "--runs", "3", "--n", "2", "--seed", str(2**128 - 1)]
+        assert main([*argv, "--output", str(out)]) == 0
+        assert read_header(str(out))["seed"] == 2**128 - 1
+
     def test_failed_fit_writes_nothing(self, tmp_path, monkeypatch, capsys):
         # Every result is computed before the first file is written.
         def fail(record):

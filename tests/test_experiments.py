@@ -41,6 +41,7 @@ from freqtrack.qubitsim import (
     initial_state,
     rng_for_run,
     sample_outcome,
+    standard_normals,
     step_noise,
 )
 
@@ -137,6 +138,18 @@ class TestCampaign:
                 update_model=REFERENCE_MODEL,
             )
 
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["minus_1", "2_pow_128"])
+    def test_seed_outside_philox_keys_rejected(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            CampaignConfig(
+                run_count=1,
+                n_shots=1,
+                prior=GaussianBelief(0.0, 1e6),
+                truth_model=REFERENCE_MODEL,
+                update_model=REFERENCE_MODEL,
+                master_seed=seed,
+            )
+
     def test_drifting_shift_scored_against_where_it_ends(self):
         # 1/f noise adds a ~30 kHz excursion to the shift drawn from the
         # 1 MHz prior, so the errors stay on the quasistatic campaign's scale.
@@ -154,26 +167,41 @@ class TestCampaign:
         assert ratio == pytest.approx(1.0, abs=0.15)
 
 
-def _replay_run(cfg: CampaignConfig, i: int) -> tuple[float, float, float]:
+def _row_width(n: int, extra: int, k: int) -> int:
+    """Doubles per campaign row: prior normal pair, n shots, extra, drift normal pairs, padding."""
+    used = 2 + n + extra + k * (n + 1) + k * (n + 1) % 2
+    return used + -used % 4
+
+
+def _replay_run(cfg: CampaignConfig, i: int, extra: int = 0) -> tuple[float, float, float]:
     """Run i of cfg on its own stream, through the public scalar API.
 
+    The stream is run i's row of the campaign block, rng_for_run(seed, i,
+    width): the prior normal from two uniforms, one uniform per shot,
+    `extra` unused ones, then the normals that start and step the drift
+    components, which the replay steps with NoiseProcess.transition.
     Returns (eps_true, eps_hat, final_sigma).
     """
-    rng = rng_for_run(cfg.master_seed, i)
-    eps0 = cfg.prior.mu + cfg.prior.sigma * float(rng.standard_normal())
-    drifting = cfg.noise is not None and cfg.noise.kind != "quasistatic"
-    state = initial_state(cfg.noise, rng) if drifting else None
-    eps = [eps0 + state.eps_true if drifting else eps0]
+    n = cfg.n_shots
+    k = cfg.noise.rates.size if cfg.noise is not None else 0
+    width = _row_width(n, extra, k)
+    row = rng_for_run(cfg.master_seed, i, width).random(width)
+    eps0 = cfg.prior.mu + cfg.prior.sigma * standard_normals(row[:2])[0]
+    shots = SimpleNamespace(random=iter(row[2 : 2 + n]).__next__)
+    start, drift = 2 + n + extra, k * (n + 1)
+    z = iter(standard_normals(row[start : start + drift + drift % 2])[:drift].reshape(n + 1, k))
+    comp = cfg.noise.transition(0.0, 0.0, next(z)) if k else None
+    eps = [eps0 + comp.sum() if k else eps0]
 
     def measure(probe):
-        nonlocal state
-        m = sample_outcome(eps[0], probe, cfg.truth_model, rng)
-        if drifting:
-            state = step_noise(cfg.noise, state, cycle_duration(probe), rng)
-            eps[0] = eps0 + state.eps_true
+        nonlocal comp
+        m = sample_outcome(eps[0], probe, cfg.truth_model, shots)
+        if k:
+            comp = cfg.noise.transition(comp, cfg.noise.decay(cycle_duration(probe)), next(z))
+            eps[0] = eps0 + comp.sum()
         return m
 
-    final, _ = run_estimation(cfg.prior, cfg.n_shots, cfg.update_model, measure)
+    final, _ = run_estimation(cfg.prior, n, cfg.update_model, measure)
     return eps[0], final.mu, final.sigma
 
 
@@ -389,14 +417,36 @@ class TestFrequentistBaseline:
 
 
 class TestCompareFrequentist:
-    def test_one_stream_per_run(self, monkeypatch):
-        calls = []
-        original = experiments.rng_for_run
-        monkeypatch.setattr(
-            experiments, "rng_for_run", lambda seed, i: calls.append(i) or original(seed, i)
+    def test_run_i_is_row_i_of_the_block(self):
+        # Run i's variates are row i of one Philox block, which is run i's
+        # stream rng_for_run(seed, i, width) whatever the run count.  Here a
+        # row uses 46 doubles, padded to 48, with extra uniforms and drift
+        # normals both present; the replays check the drift normals' place
+        # behind the extra uniforms.
+        n, extra, runs, seed = 5, 3, 9, 13
+        noise = NoiseProcess(kind="one_over_f")
+        width = _row_width(n, extra, noise.rates.size)
+        assert (width, 2 + n + extra + noise.rates.size * (n + 1)) == (48, 46)
+        cfg = CampaignConfig(
+            run_count=runs,
+            n_shots=n,
+            prior=GaussianBelief(0.0, 1e6),
+            truth_model=REFERENCE_MODEL,
+            update_model=REFERENCE_MODEL,
+            noise=noise,
+            master_seed=seed,
         )
-        compare_frequentist(1e6, 15, 30, [0.5, 1.0, 2.0, 4.0], IDEAL_MODEL, seed=4)
-        assert calls == list(range(30))
+        block = np.random.Generator(np.random.Philox(key=seed)).random((runs, width))
+        stats, u_extra = experiments._campaign(cfg, extra)
+        for i in (0, 1, 7, runs - 1):
+            row = rng_for_run(seed, i, width).random(width)
+            np.testing.assert_array_equal(block[i], row)
+            np.testing.assert_array_equal(u_extra[:, i], row[2 + n : 2 + n + extra])
+            eps_true, eps_hat, final_sigma = _replay_run(cfg, i, extra)
+            tol = 1e-12 * final_sigma
+            assert abs(stats.eps_true[i] - eps_true) <= tol
+            assert abs(stats.eps_hat[i] - eps_hat) <= tol
+            assert abs(stats.final_sigmas[i] - final_sigma) <= tol
 
     def test_multipliers_see_the_same_shots(self):
         # Each multiplier's frequentist shots start from the state the
@@ -409,9 +459,10 @@ class TestCompareFrequentist:
     @pytest.mark.parametrize("model", [IDEAL_MODEL, REFERENCE_MODEL])
     @pytest.mark.parametrize("seed", [3, 11])
     def test_matches_run_by_run_baseline(self, model, seed):
-        # Reference: each run's stream continued through the public
-        # frequentist_estimate, rewound to the end of its adaptive shots
-        # before each multiplier.
+        # Reference: each run's shift from the prior pair of its row, and at
+        # each multiplier the public frequentist_estimate on the run's stream
+        # continued past its adaptive shots.  The adaptive runs are those of
+        # the campaign whose rows hold the baseline's uniforms too.
         sigma0, shots, run_count, mults = 1e6, 15, 150, [0.5, 1.0, 2.0, 4.0]
         cfg = CampaignConfig(
             run_count=run_count,
@@ -421,21 +472,28 @@ class TestCompareFrequentist:
             update_model=model,
             master_seed=seed,
         )
-        shifts, streams = [], []
-        for i in range(run_count):
-            rng = rng_for_run(seed, i)
-            shifts.append(sigma0 * float(rng.standard_normal()))
-            rng.random(shots)  # the adaptive shots
-            streams.append(rng)
-        states = [rng.bit_generator.state for rng in streams]
-        adaptive = float(np.median(np.abs(run_campaign(cfg).errors)))
+        width = _row_width(shots, shots, 0)
+
+        def after_adaptive_shots(i):
+            rng = rng_for_run(seed, i, width)
+            rng.random(2 + shots)  # the prior normal's pair and the adaptive shots
+            return rng
+
+        shifts = [
+            sigma0 * standard_normals(rng_for_run(seed, i, width).random(2))[0]
+            for i in range(run_count)
+        ]
+        stats, _ = experiments._campaign(cfg, extra=shots)
+        np.testing.assert_array_equal(stats.eps_true, shifts)
+        adaptive = float(np.median(np.abs(stats.errors)))
         expected = []
         for mult in mults:
             tau = mult * optimal_tau(sigma0, model.T)
-            errors = []
-            for eps_true, rng, state in zip(shifts, streams, states):
-                rng.bit_generator.state = state
-                errors.append(abs(frequentist_estimate(eps_true, tau, shots, model, rng) - eps_true))
+            estimates = [
+                frequentist_estimate(eps_true, tau, shots, model, after_adaptive_shots(i))
+                for i, eps_true in enumerate(shifts)
+            ]
+            errors = np.abs(np.array(estimates) - shifts)
             expected.append((mult, tau, adaptive, float(np.median(errors))))
         assert compare_frequentist(sigma0, shots, run_count, mults, model, seed) == expected
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.signal import welch
+from scipy.stats import kstest
 
 from freqtrack.estimator import IDEAL_MODEL, REFERENCE_MODEL, ProbeSettings, likelihood_probability
 from freqtrack.qubitsim import (
@@ -14,6 +15,7 @@ from freqtrack.qubitsim import (
     noise_trajectory,
     rng_for_run,
     sample_outcome,
+    standard_normals,
     step_noise,
 )
 
@@ -105,6 +107,14 @@ class TestNoiseProcess:
         with pytest.raises(ValueError):
             step_noise(NoiseProcess(kind="ou_drift"), state, 1e-6, rng)
 
+    @pytest.mark.parametrize("kind, dt", [("ou_drift", 0.0), ("quasistatic", 1e-6)])
+    def test_state_of_another_process_rejected_without_a_step(self, kind, dt):
+        # The component check comes before the paths that return the state as it is.
+        rng = np.random.default_rng(9)
+        state = initial_state(NoiseProcess(kind="one_over_f"), rng)
+        with pytest.raises(ValueError, match="noise components"):
+            step_noise(NoiseProcess(kind=kind), state, dt, rng)
+
     def test_one_over_f_periodogram_slope(self):
         proc = NoiseProcess(kind="one_over_f", sigma_eps=1.0, octave_count=8, band=(10.0, 1e4))
         rng = np.random.default_rng(6)
@@ -119,6 +129,39 @@ class TestNoiseProcess:
         rng = np.random.default_rng(7)
         x = noise_trajectory(proc, 50_000, 3e-4, rng)
         assert x.var() == pytest.approx(4.0, rel=0.1)
+
+
+class TestStandardNormals:
+    def test_standard_normal_statistics(self):
+        z = standard_normals(rng_for_run(21, 0).random(10**5))
+        assert abs(z.mean()) < 0.015  # ~5 standard errors
+        assert z.var() == pytest.approx(1.0, abs=0.02)
+        assert kstest(z, "norm").pvalue > 0.01
+        # the cosine and the sine of one angle are independent normals
+        assert abs(np.corrcoef(z[: 5 * 10**4], z[5 * 10**4 :])[0, 1]) < 0.015
+
+    def test_finite_at_the_ends_of_the_unit_interval(self):
+        top = 1.0 - 2.0**-53  # the largest double Generator.random returns
+        u = np.array([[0.0, 0.0], [0.0, top], [top, 0.0], [top, top]])
+        z = standard_normals(u)
+        assert np.all(np.isfinite(z))
+        np.testing.assert_array_equal(z[:2], 0.0)  # radius 0 at u = 0
+        np.testing.assert_allclose(np.hypot(z[2:, 0], z[2:, 1]), math.sqrt(106.0 * math.log(2.0)))
+
+    def test_two_uniforms_per_pair(self):
+        # 2p uniforms give 2p normals; normals j and p + j use uniforms j and p + j only.
+        p = 5
+        u = np.random.default_rng(22).random(2 * p)
+        z = standard_normals(u)
+        assert z.shape == (2 * p,)
+        for j in range(p):
+            other = u.copy()
+            rest = [i for i in range(2 * p) if i not in (j, p + j)]
+            other[rest] = np.random.default_rng(j).random(len(rest))
+            np.testing.assert_array_equal(standard_normals(other)[[j, p + j]], z[[j, p + j]])
+        # along the last axis only: each row of a batch is its own draw
+        batch = np.random.default_rng(23).random((4, 2 * p))
+        np.testing.assert_array_equal(standard_normals(batch)[2], standard_normals(batch[2]))
 
 
 class TestReproducibility:
