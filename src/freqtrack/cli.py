@@ -59,8 +59,8 @@ class Scenario:
 
 # Per-command parameter schema: name -> (type, default, lower bound).  A bound
 # (low, True) excludes low itself; (low, False) admits it; None leaves the
-# value unbounded.  List bounds hold for every element.  "inf" is accepted
-# for coherence times.
+# value unbounded.  List bounds hold for every element.  Every float must be
+# finite, except that "inf" is accepted for coherence times; no list may be empty.
 _POSITIVE = (0.0, True)
 _NON_NEGATIVE = (0.0, False)
 _MODEL_KEYS = {
@@ -123,8 +123,6 @@ def _coerce(name: str, kind, value):
             if isinstance(value, str):
                 value = [float(v) for v in value.split(",") if v]
             return [float(v) for v in value]
-        if kind is float and isinstance(value, str) and value.lower() in ("inf", "infinity"):
-            return math.inf
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"parameter '{name}': cannot interpret {value!r} as {kind.__name__}")
@@ -194,12 +192,20 @@ def _model_from(params: dict, prefix: str = "") -> LikelihoodModel:
 
 def _validate_params(command: str, params: dict) -> None:
     """Check every parameter against its schema bound, then the models' own constraints."""
-    for key, (_, _, bound) in _SCHEMAS[command].items():
+    for key, (kind, _, bound) in _SCHEMAS[command].items():
         value = params[key]
+        values = value if kind is list else [value]
+        if not values:
+            raise ScenarioError(f"{key} must not be empty")
+        inf_ok = key.endswith("coherence_time")
+        if kind is not int and value is not None and not all(
+            math.isfinite(v) or inf_ok and v == math.inf for v in values
+        ):
+            raise ScenarioError(f"{key} must be finite, got {value}")
         if bound is None:
             continue
         low, exclusive = bound
-        if not all(v > low if exclusive else v >= low for v in np.atleast_1d(value)):
+        if not all(v > low if exclusive else v >= low for v in values):
             raise ScenarioError(f"{key} must be {'>' if exclusive else '>='} {low}, got {value}")
     _model_from(params)
     if command == "campaign":

@@ -9,10 +9,9 @@ Each probe is designed so the cosine's inflection point sits at the current
 belief mean, splitting the prior into two near-equal branches; the posterior
 is then re-fit to a Gaussian by method of moments, all in closed form.
 
-Sign convention: with the detuning delta_f = (1 + 2l)/(4 tau) + mu used here,
-the exact posterior mean moves *up* for m = +1 (at l = 0).  The general mean
-update carries a (-1)^l factor; both were verified against the exact grid
-posterior (see tests).
+Sign convention: with the detuning delta_f = 1/(4 tau) + mu used here, the
+exact posterior mean moves *up* for m = +1, as verified against the exact
+grid posterior (see tests).
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Relative floor for the posterior variance; reached only under extreme
-# numerical stress, flagged per-step in the trace.
+# A posterior variance below this fraction of the prior's is a numerical fault;
+# every valid model keeps at least 1 - 1/e of it.
 VARIANCE_FLOOR_REL = 1e-12
 
 
@@ -88,11 +87,10 @@ IDEAL_MODEL = LikelihoodModel(alpha=0.0, beta=1.0, T=math.inf)
 
 @dataclass(frozen=True)
 class ProbeSettings:
-    """One Ramsey probe: evolution time tau [s], detuning delta_f [Hz], branch integer l."""
+    """One Ramsey probe: evolution time tau [s], detuning delta_f [Hz]."""
 
     tau: float
     delta_f: float
-    l: int = 0
 
     def __post_init__(self):
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
@@ -129,52 +127,47 @@ def optimal_tau(sigma: float, T: float) -> float:
     return 2.0 / (root + inv_T)
 
 
-def optimal_detuning(mu: float, tau: float, l: int = 0) -> float:
+def optimal_detuning(mu: float, tau: float) -> float:
     """Detuning placing the likelihood inflection point at the belief mean.
 
-    delta_f = (1 + 2l)/(4 tau) + mu; at eps = mu the cosine vanishes, so the
-    two outcomes split the prior into (nearly) equal branches.
+    delta_f = 1/(4 tau) + mu; at eps = mu the cosine vanishes, so the two
+    outcomes split the prior into (nearly) equal branches.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    return (1.0 + 2.0 * l) / (4.0 * tau) + mu
+    return 0.25 / tau + mu
 
 
-def design_probe(belief: GaussianBelief, model: LikelihoodModel, l: int = 0) -> ProbeSettings:
+def design_probe(belief: GaussianBelief, model: LikelihoodModel) -> ProbeSettings:
     """Greedy-optimal probe for the current belief."""
     tau = optimal_tau(belief.sigma, model.T)
-    return ProbeSettings(tau=tau, delta_f=optimal_detuning(belief.mu, tau, l), l=l)
+    return ProbeSettings(tau=tau, delta_f=optimal_detuning(belief.mu, tau))
 
 
 def _posterior_moments(
-    mu: float, sigma: float, tau: float, m: int, model: LikelihoodModel, l: int = 0
-) -> tuple[float, float, bool]:
-    """Method-of-moments posterior (mu, sigma, variance_clamped) after outcome m.
+    mu: float, sigma: float, tau: float, m: int, model: LikelihoodModel
+) -> tuple[float, float]:
+    """Method-of-moments posterior (mu, sigma) after outcome m.
 
-    The probe is (tau, optimal_detuning(mu, tau, l)).  This is the scalar form,
+    The probe is (tau, optimal_detuning(mu, tau)).  This is the scalar form,
     on floats; _posterior_moments_vec is the same closed form on arrays.  A
-    variance below VARIANCE_FLOOR_REL * sigma^2 is raised to that floor and
-    flagged; one negative beyond it raises NumericalConsistencyError.
+    variance below VARIANCE_FLOOR_REL * sigma^2, or NaN, raises
+    NumericalConsistencyError.
     """
     b = model.beta
     if b == 0.0:
-        return mu, sigma, False
+        return mu, sigma
     var = sigma**2
     damp = math.exp(-tau * model.inv_T - TWO_PI**2 / 2.0 * var * tau**2)
     bias = 1.0 + m * model.alpha
-    # (-1)^l: odd branches flip the direction of the mean shift.
-    branch_sign = -1.0 if l % 2 else 1.0
-    mu_next = mu + branch_sign * TWO_PI * m * b * var * tau * damp / bias
+    mu_next = mu + TWO_PI * m * b * var * tau * damp / bias
     var_next = var - TWO_PI**2 * b**2 * sigma**4 * tau**2 * damp**2 / bias**2
-    floor = VARIANCE_FLOOR_REL * var
-    if var_next >= floor:
-        return mu_next, math.sqrt(var_next), False
-    if var_next < -floor:
+    if not var_next >= VARIANCE_FLOOR_REL * var:
         raise NumericalConsistencyError(
-            f"posterior variance {var_next} is negative beyond rounding "
+            f"posterior variance {var_next} is below the floor "
             f"(sigma={sigma}, tau={tau}, model={model})"
         )
-    return mu_next, math.sqrt(floor), True
+    return mu_next, math.sqrt(var_next)
 
 
 def _optimal_tau_vec(sigma: np.ndarray, inv_T: float) -> np.ndarray:
@@ -189,8 +182,7 @@ def _posterior_moments_vec(
     tau: np.ndarray,
     m: np.ndarray,
     model: LikelihoodModel,
-    l: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """_posterior_moments elementwise on arrays, for beliefs advanced in lockstep.
 
     Its own function, not a type branch in one kernel: on the per-shot float
@@ -199,22 +191,17 @@ def _posterior_moments_vec(
     """
     b = model.beta
     if b == 0.0:
-        return mu, sigma, np.zeros(np.shape(sigma), dtype=bool)
+        return mu, sigma
     var = sigma**2
     damp = np.exp(-tau * model.inv_T - TWO_PI**2 / 2.0 * var * tau**2)
     bias = 1.0 + m * model.alpha
-    branch_sign = -1.0 if l % 2 else 1.0
-    mu_next = mu + branch_sign * TWO_PI * m * b * var * tau * damp / bias
+    mu_next = mu + TWO_PI * m * b * var * tau * damp / bias
     var_next = var - TWO_PI**2 * b**2 * sigma**4 * tau**2 * damp**2 / bias**2
-    floor = VARIANCE_FLOOR_REL * var
-    clamped = var_next < floor
-    if clamped.any():
-        if np.any(var_next < -floor):
-            raise NumericalConsistencyError(
-                f"posterior variance {var_next.min()} is negative beyond rounding (model={model})"
-            )
-        var_next = np.where(clamped, floor, var_next)
-    return mu_next, np.sqrt(var_next), clamped
+    if not np.all(var_next >= VARIANCE_FLOOR_REL * var):
+        raise NumericalConsistencyError(
+            f"posterior variance {np.min(var_next)} is below the floor (model={model})"
+        )
+    return mu_next, np.sqrt(var_next)
 
 
 def update(
@@ -232,7 +219,7 @@ def update(
     about 0.8 of the reported sigma.
     """
     _validate_outcome(m)
-    mu, sigma, _ = _posterior_moments(belief.mu, belief.sigma, probe.tau, m, model, probe.l)
+    mu, sigma = _posterior_moments(belief.mu, belief.sigma, probe.tau, m, model)
     return GaussianBelief(mu, sigma)
 
 
@@ -246,7 +233,6 @@ class StepRecord:
     outcome: int
     mu: float
     sigma: float
-    variance_clamped: bool = False
 
 
 class EstimationAborted(RuntimeError):
@@ -264,7 +250,6 @@ def run_estimation(
     n_shots: int,
     model: LikelihoodModel,
     measure: Callable[[ProbeSettings], int],
-    l: int = 0,
 ) -> tuple[GaussianBelief, list[StepRecord]]:
     """Run the adaptive binary-search loop for n_shots probing cycles.
 
@@ -277,22 +262,12 @@ def run_estimation(
     belief = prior
     trace: list[StepRecord] = []
     for step in range(n_shots):
-        probe = design_probe(belief, model, l)
+        probe = design_probe(belief, model)
         try:
             m = _validate_outcome(measure(probe))
         except Exception as exc:
             raise EstimationAborted(belief, trace, exc) from exc
-        mu, sigma, clamped = _posterior_moments(belief.mu, belief.sigma, probe.tau, m, model, l)
+        mu, sigma = _posterior_moments(belief.mu, belief.sigma, probe.tau, m, model)
         belief = GaussianBelief(mu, sigma)
-        trace.append(
-            StepRecord(
-                step=step,
-                tau=probe.tau,
-                delta_f=probe.delta_f,
-                outcome=m,
-                mu=mu,
-                sigma=sigma,
-                variance_clamped=clamped,
-            )
-        )
+        trace.append(StepRecord(step, probe.tau, probe.delta_f, m, mu, sigma))
     return belief, trace

@@ -18,6 +18,7 @@ DEFAULT_POINTS = 2**14
 DEFAULT_HALF_WIDTH_SIGMAS = 8.0
 
 _NORM_TOL = 1e-9
+_MODE_THRESHOLD_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,14 @@ def kl_divergence(p: GridPosterior, q: GridPosterior) -> float:
     return float(np.sum(pw * np.log2(pw / qw)))
 
 
-def count_local_maxima(p: GridPosterior, rel_threshold: float = 1e-6) -> int:
+def count_local_maxima(p: GridPosterior) -> int:
     """Number of interior local maxima, via sign changes of the discrete derivative.
 
-    Weights below rel_threshold * max(weights) are zeroed first so that tail
-    rounding noise does not register as spurious modes.
+    Weights below _MODE_THRESHOLD_REL * max(weights) are zeroed first so that
+    tail rounding noise does not register as spurious modes.
     """
     w = p.weights.copy()
-    w[w < rel_threshold * w.max()] = 0.0
+    w[w < _MODE_THRESHOLD_REL * w.max()] = 0.0
     d = np.diff(w)
     sgn = np.sign(d)
     sgn = sgn[sgn != 0]

@@ -135,6 +135,16 @@ class TestExitCodes:
             ["compare-frequentist", "--shots", "0"],
             ["compare-frequentist", "--runs", "0"],
             ["campaign", "--sigma0", "nan"],
+            ["estimate", "--sigma0", "inf"],
+            ["campaign", "--mu0", "inf"],
+            ["estimate", "--mu0", "nan"],
+            ["estimate", "--eps-true", "nan"],
+            ["validate-gaussian", "--multipliers", "inf"],
+            ["validate-gaussian", "--multipliers", ","],
+            ["track", "--tau-max", "inf"],
+            ["track", "--target-detuning", "inf"],
+            ["track", "--sigma-eps", "inf"],
+            ["compare-frequentist", "--tau-multipliers", ","],
         ],
     )
     def test_out_of_bounds_exits_1_before_writing(self, argv, tmp_path, capsys):
