@@ -23,6 +23,8 @@ from typing import Callable
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_TWO_PI_SQ, _HALF_TWO_PI_SQ = TWO_PI**2, TWO_PI**2 / 2.0  # folded as evaluated left to right
+_SIXTEEN_PI_SQ = 16.0 * math.pi**2
 
 # A posterior variance below this fraction of the prior's is a numerical fault;
 # every valid model keeps at least 1 - 1/e of it.
@@ -33,18 +35,20 @@ class NumericalConsistencyError(RuntimeError):
     """Raised when a closed-form update produces an impossible value."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)  # for the hand-written __init__, see the README
 class GaussianBelief:
     """Gaussian belief over the frequency shift: mean and standard deviation, in Hz."""
 
     mu: float
     sigma: float
 
-    def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
+    def __init__(self, mu: float, sigma: float):
+        if not (sigma > 0.0 and math.isfinite(sigma)):
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu}")
+        d = self.__dict__
+        d["mu"], d["sigma"] = mu, sigma
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,8 @@ class LikelihoodModel:
 
     alpha in (-1, 1), beta in [0, 1], |alpha| + beta <= 1 so all probabilities
     stay in [0, 1].  beta = 0 is the degenerate flat-likelihood model (updates
-    are no-ops).  T may be math.inf for a decoherence-free model.
+    are no-ops).  T may be math.inf for a decoherence-free model.  inv_T is
+    1/T, exactly zero for infinite T: an attribute set once, not a field.
     """
 
     alpha: float = -0.02
@@ -71,11 +76,8 @@ class LikelihoodModel:
             )
         if not self.T > 0.0:
             raise ValueError(f"T must be positive (may be inf), got {self.T}")
-
-    @property
-    def inv_T(self) -> float:
-        """1/T, exactly zero for infinite coherence time."""
-        return 0.0 if math.isinf(self.T) else 1.0 / self.T
+        # Not a cached_property: its __dict__ write would slow every later read of the fields.
+        object.__setattr__(self, "inv_T", 0.0 if math.isinf(self.T) else 1.0 / self.T)
 
 
 #: Reference SPAM/dephasing values for the transmon this model was fit to.
@@ -85,16 +87,18 @@ REFERENCE_MODEL = LikelihoodModel(alpha=-0.02, beta=0.6, T=10e-6)
 IDEAL_MODEL = LikelihoodModel(alpha=0.0, beta=1.0, T=math.inf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProbeSettings:
     """One Ramsey probe: evolution time tau [s], detuning delta_f [Hz]."""
 
     tau: float
     delta_f: float
 
-    def __post_init__(self):
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+    def __init__(self, tau: float, delta_f: float):
+        if not (tau > 0.0 and math.isfinite(tau)):
+            raise ValueError(f"tau must be positive and finite, got {tau}")
+        d = self.__dict__
+        d["tau"], d["delta_f"] = tau, delta_f
 
 
 def _validate_outcome(m: int) -> int:
@@ -122,9 +126,11 @@ def optimal_tau(sigma: float, T: float) -> float:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not T > 0.0:
         raise ValueError(f"T must be positive (may be inf), got {T}")
-    inv_T = 0.0 if math.isinf(T) else 1.0 / T
-    root = math.sqrt(16.0 * math.pi**2 * sigma**2 + inv_T**2)
-    return 2.0 / (root + inv_T)
+    return _optimal_tau(sigma, 0.0 if math.isinf(T) else 1.0 / T)
+
+
+def _optimal_tau(sigma: float, inv_T: float) -> float:  # sigma > 0 and T > 0 already checked
+    return 2.0 / (math.sqrt(_SIXTEEN_PI_SQ * sigma**2 + inv_T**2) + inv_T)
 
 
 def optimal_detuning(mu: float, tau: float) -> float:
@@ -140,8 +146,8 @@ def optimal_detuning(mu: float, tau: float) -> float:
 
 def design_probe(belief: GaussianBelief, model: LikelihoodModel) -> ProbeSettings:
     """Greedy-optimal probe for the current belief."""
-    tau = optimal_tau(belief.sigma, model.T)
-    return ProbeSettings(tau=tau, delta_f=optimal_detuning(belief.mu, tau))
+    tau = _optimal_tau(belief.sigma, model.inv_T)
+    return ProbeSettings(tau, optimal_detuning(belief.mu, tau))
 
 
 def _posterior_moments(
@@ -158,10 +164,11 @@ def _posterior_moments(
     if b == 0.0:
         return mu, sigma
     var = sigma**2
-    damp = math.exp(-tau * model.inv_T - TWO_PI**2 / 2.0 * var * tau**2)
+    tau2 = tau**2
+    damp = math.exp(-tau * model.inv_T - _HALF_TWO_PI_SQ * var * tau2)
     bias = 1.0 + m * model.alpha
     mu_next = mu + TWO_PI * m * b * var * tau * damp / bias
-    var_next = var - TWO_PI**2 * b**2 * sigma**4 * tau**2 * damp**2 / bias**2
+    var_next = var - _TWO_PI_SQ * b**2 * sigma**4 * tau2 * damp**2 / bias**2
     if not var_next >= VARIANCE_FLOOR_REL * var:
         raise NumericalConsistencyError(
             f"posterior variance {var_next} is below the floor "
@@ -223,7 +230,7 @@ def update(
     return GaussianBelief(mu, sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepRecord:
     """One probing cycle of an estimation sequence."""
 
@@ -233,6 +240,11 @@ class StepRecord:
     outcome: int
     mu: float
     sigma: float
+
+    def __init__(self, step: int, tau: float, delta_f: float, outcome: int, mu: float, sigma: float):
+        d = self.__dict__
+        d["step"], d["tau"], d["delta_f"] = step, tau, delta_f
+        d["outcome"], d["mu"], d["sigma"] = outcome, mu, sigma
 
 
 class EstimationAborted(RuntimeError):

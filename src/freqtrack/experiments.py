@@ -42,6 +42,10 @@ MAD_TO_SIGMA = 1.4826  # scales a median absolute deviation to a Gaussian sigma
 # ---------------------------------------------------------------------------
 
 
+def _sigma_in_range(sigma: float) -> bool:  # sigma**4, hence sigma**2, finite and nonzero
+    return 0.0 < sigma < 2.0**256 and sigma**4 > 0.0  # from 2**256 on, sigma**4 overflows
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """One Monte Carlo campaign: repeated estimations of shifts drawn from the prior.
@@ -65,6 +69,8 @@ class CampaignConfig:
             raise ValueError(f"n_shots must be >= 0, got {self.n_shots}")
         if not 0 <= self.master_seed < 2**128:  # the keys Philox accepts
             raise ValueError(f"master_seed must be >= 0 and < 2**128, got {self.master_seed}")
+        if not _sigma_in_range(self.prior.sigma):
+            raise ValueError(f"prior sigma {self.prior.sigma}: sigma**4 is zero or infinite")
 
 
 @dataclass(frozen=True, eq=False)

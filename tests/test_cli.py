@@ -145,6 +145,15 @@ class TestExitCodes:
             ["track", "--target-detuning", "inf"],
             ["track", "--sigma-eps", "inf"],
             ["compare-frequentist", "--tau-multipliers", ","],
+            # sigma0**2 or sigma0**4 underflows to 0 or overflows
+            ["estimate", "--sigma0", "1e-300"],
+            ["estimate", "--sigma0", "1e100"],
+            ["estimate", "--sigma0", "1e300"],
+            ["validate-gaussian", "--sigma0", "1e300"],
+            ["campaign", "--sigma0", "1e300"],
+            ["compare-frequentist", "--sigma0", "1e300"],
+            ["track", "--sigma0", "1e300"],
+            ["campaign", "--runs", "3", "--sigma0", "1e-300"],
         ],
     )
     def test_out_of_bounds_exits_1_before_writing(self, argv, tmp_path, capsys):
@@ -161,6 +170,15 @@ class TestExitCodes:
         assert main([command, "--seed", str(seed), "--output", str(tmp_path / "out.csv")]) == 1
         assert "seed must be" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sigma0", ["1e-80", "1e76"])
+    def test_extreme_sigma0_inside_the_closed_form_range_runs(self, sigma0, tmp_path):
+        # sigma0**4 is a nonzero subnormal at 1e-80 and finite at 1e76.
+        out = tmp_path / "c.csv"
+        argv = ["campaign", "--runs", "3", "--n", "2", "--sigma0", sigma0]
+        assert main([*argv, "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+        assert len(rows) == 3 and all(float(row[3]) > 0.0 for row in rows)
 
     def test_largest_seed_accepted(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -1,6 +1,9 @@
 """Closed-form estimator: probe design, belief updates, estimation loop."""
 
+import dataclasses
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from freqtrack.estimator import (
     GaussianBelief,
     LikelihoodModel,
     ProbeSettings,
+    StepRecord,
     design_probe,
     likelihood_probability,
     optimal_detuning,
@@ -40,6 +44,89 @@ class TestLikelihoodModel:
     def test_infinite_coherence_time_is_first_class(self):
         model = LikelihoodModel(alpha=0.0, beta=1.0, T=math.inf)
         assert model.inv_T == 0.0
+
+    def test_inverse_coherence_time_is_set_once_and_is_not_a_field(self):
+        model = LikelihoodModel(alpha=0.0, beta=0.5, T=4e-6)
+        assert model.inv_T == 1.0 / 4e-6
+        assert [f.name for f in dataclasses.fields(model)] == ["alpha", "beta", "T"]
+        assert repr(model) == "LikelihoodModel(alpha=0.0, beta=0.5, T=4e-06)"
+        assert model == LikelihoodModel(0.0, 0.5, 4e-6)
+        assert model != LikelihoodModel(0.0, 0.5, 2e-6)
+        assert dataclasses.replace(model, T=2e-6).inv_T == 1.0 / 2e-6
+        assert pickle.loads(pickle.dumps(model)).inv_T == model.inv_T
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.inv_T = 0.0
+
+
+VALUE_TYPES = [
+    GaussianBelief(mu=-3.5e4, sigma=2.5e5),
+    ProbeSettings(tau=3.2e-7, delta_f=7.8e5),
+    StepRecord(step=4, tau=3.2e-7, delta_f=7.8e5, outcome=-1, mu=-3.5e4, sigma=2.5e5),
+]
+
+
+class TestValueTypes:
+    """The per-shot value classes keep the frozen-dataclass contract with their own __init__."""
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_belief_rejects_sigma(self, sigma):
+        with pytest.raises(ValueError, match=re.escape(f"sigma must be positive and finite, got {sigma}")):
+            GaussianBelief(0.0, sigma)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_belief_rejects_mu(self, mu):
+        with pytest.raises(ValueError, match=re.escape(f"mu must be finite, got {mu}")):
+            GaussianBelief(mu, 1e6)
+
+    def test_belief_checks_sigma_before_mu(self):
+        with pytest.raises(ValueError, match="sigma must be"):
+            GaussianBelief(math.nan, -1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_probe_rejects_tau(self, tau):
+        with pytest.raises(ValueError, match=re.escape(f"tau must be positive and finite, got {tau}")):
+            ProbeSettings(tau, 0.0)
+
+    @pytest.mark.parametrize("value", VALUE_TYPES, ids=lambda v: type(v).__name__)
+    def test_frozen(self, value):
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.extra = 1.0
+
+    @pytest.mark.parametrize("value", VALUE_TYPES, ids=lambda v: type(v).__name__)
+    def test_fields_eq_hash_and_repr(self, value):
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        assert vars(value) == fields
+        twin = type(value)(*fields.values())
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        assert repr(value) == f"{type(value).__name__}(" + ", ".join(
+            f"{name}={v!r}" for name, v in fields.items()
+        ) + ")"
+        first = dataclasses.fields(value)[0].name
+        other = dataclasses.replace(value, **{first: fields[first] * 2})
+        assert other != value and getattr(other, first) == fields[first] * 2
+
+    @pytest.mark.parametrize("value", VALUE_TYPES, ids=lambda v: type(v).__name__)
+    def test_pickle_round_trip(self, value):
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and back == value and hash(back) == hash(value)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ValueError, match="sigma must be"):
+            dataclasses.replace(GaussianBelief(0.0, 1e6), sigma=-1.0)
+        with pytest.raises(ValueError, match="mu must be"):
+            dataclasses.replace(GaussianBelief(0.0, 1e6), mu=math.inf)
+        with pytest.raises(ValueError, match="tau must be"):
+            dataclasses.replace(ProbeSettings(1e-7, 0.0), tau=0.0)
+
+    def test_arguments_as_the_generated_init_takes_them(self):
+        assert GaussianBelief(sigma=2.0, mu=1.0) == GaussianBelief(1.0, 2.0)
+        with pytest.raises(TypeError):
+            GaussianBelief(1.0)
+        with pytest.raises(TypeError):
+            ProbeSettings(1e-7, 0.0, 1.0)
 
 
 class TestLikelihoodProbability:

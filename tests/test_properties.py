@@ -18,8 +18,11 @@ from freqtrack.estimator import (
     _optimal_tau_vec,
     _posterior_moments,
     _posterior_moments_vec,
+    design_probe,
     optimal_detuning,
     optimal_tau,
+    run_estimation,
+    update,
 )
 
 # Every posterior variance is at least this fraction of the prior's: the
@@ -93,3 +96,64 @@ def test_impossible_variance_raises_in_both_forms(beta):
         _posterior_moments(0.0, sigma, tau, 1, model)
     with pytest.raises(NumericalConsistencyError):
         _posterior_moments_vec(np.zeros(3), np.full(3, sigma), np.full(3, tau), np.ones(3), model)
+
+
+# The scalar closed form exactly as it was written before its leading constants
+# were folded and tau**2 was computed once.  Folding only what left-to-right
+# evaluation computes first leaves every bit in place, so the current form
+# must equal these with ==.
+
+
+def _optimal_tau_written_out(sigma, T):
+    inv_T = 0.0 if math.isinf(T) else 1.0 / T
+    root = math.sqrt(16.0 * math.pi**2 * sigma**2 + inv_T**2)
+    return 2.0 / (root + inv_T)
+
+
+def _posterior_moments_written_out(mu, sigma, tau, m, model):
+    b = model.beta
+    var = sigma**2
+    inv_T = 0.0 if math.isinf(model.T) else 1.0 / model.T
+    damp = math.exp(-tau * inv_T - TWO_PI**2 / 2.0 * var * tau**2)
+    bias = 1.0 + m * model.alpha
+    mu_next = mu + TWO_PI * m * b * var * tau * damp / bias
+    var_next = var - TWO_PI**2 * b**2 * sigma**4 * tau**2 * damp**2 / bias**2
+    return mu_next, math.sqrt(var_next)
+
+
+wide_sigmas = st.floats(1e-3, 1e12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(models(), mus, wide_sigmas, tau_multipliers, outcomes)
+def test_closed_form_bits_equal_the_written_out_expressions(model, mu, sigma, mult, m):
+    tau_opt = optimal_tau(sigma, model.T)
+    assert tau_opt == _optimal_tau_written_out(sigma, model.T)
+    tau = mult * tau_opt
+    assert _posterior_moments(mu, sigma, tau, m, model) == _posterior_moments_written_out(
+        mu, sigma, tau, m, model
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(models(), mus, wide_sigmas, st.lists(outcomes, max_size=20))
+def test_controller_loop_equals_run_estimation_and_the_written_out_loop(model, mu, sigma, seq):
+    prior = GaussianBelief(mu, sigma)
+    belief, steps = prior, []
+    for m in seq:
+        probe = design_probe(belief, model)
+        belief = update(belief, probe, m, model)
+        steps.append((probe.tau, probe.delta_f, m, belief.mu, belief.sigma))
+
+    replay = iter(seq)
+    final, trace = run_estimation(prior, len(seq), model, lambda probe: next(replay))
+    assert final == belief
+    assert [(r.tau, r.delta_f, r.outcome, r.mu, r.sigma) for r in trace] == steps
+    assert [r.step for r in trace] == list(range(len(seq)))
+
+    mu_ref, sigma_ref = mu, sigma
+    for tau, delta_f, m, mu_next, sigma_next in steps:
+        assert tau == _optimal_tau_written_out(sigma_ref, model.T)
+        assert delta_f == 0.25 / tau + mu_ref
+        mu_ref, sigma_ref = _posterior_moments_written_out(mu_ref, sigma_ref, tau, m, model)
+        assert (mu_next, sigma_next) == (mu_ref, sigma_ref)
