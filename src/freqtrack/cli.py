@@ -208,7 +208,7 @@ def _validate_params(command: str, params: dict) -> None:
         if not all(v > low if exclusive else v >= low for v in values):
             raise ScenarioError(f"{key} must be {'>' if exclusive else '>='} {low}, got {value}")
         if key == "sigma0" and not experiments._sigma_in_range(value):
-            raise ScenarioError(f"sigma0**2 and sigma0**4 must be finite and nonzero, got {value}")
+            raise ScenarioError(f"sigma0**4 must be finite and normal, got {value}")
     _model_from(params)
     if command == "campaign":
         _model_from(params, "truth_")

@@ -25,6 +25,7 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 _TWO_PI_SQ, _HALF_TWO_PI_SQ = TWO_PI**2, TWO_PI**2 / 2.0  # folded as evaluated left to right
 _SIXTEEN_PI_SQ = 16.0 * math.pi**2
+_NORMAL_MIN = 2.0**-1022  # sys.float_info.min, the smallest normal double
 
 # A posterior variance below this fraction of the prior's is a numerical fault;
 # every valid model keeps at least 1 - 1/e of it.
@@ -157,18 +158,20 @@ def _posterior_moments(
 
     The probe is (tau, optimal_detuning(mu, tau)).  This is the scalar form,
     on floats; _posterior_moments_vec is the same closed form on arrays.  A
-    variance below VARIANCE_FLOOR_REL * sigma^2, or NaN, raises
-    NumericalConsistencyError.
+    variance below VARIANCE_FLOOR_REL * sigma^2, or NaN, or a subnormal
+    sigma^4 raises NumericalConsistencyError.
     """
     b = model.beta
     if b == 0.0:
         return mu, sigma
-    var = sigma**2
+    var, sigma4 = sigma**2, sigma**4
+    if sigma4 < _NORMAL_MIN:  # subnormal: the reduction would lose precision
+        raise NumericalConsistencyError(f"sigma**4 = {sigma4} is subnormal (sigma={sigma})")
     tau2 = tau**2
     damp = math.exp(-tau * model.inv_T - _HALF_TWO_PI_SQ * var * tau2)
     bias = 1.0 + m * model.alpha
     mu_next = mu + TWO_PI * m * b * var * tau * damp / bias
-    var_next = var - _TWO_PI_SQ * b**2 * sigma**4 * tau2 * damp**2 / bias**2
+    var_next = var - _TWO_PI_SQ * b**2 * sigma4 * tau2 * damp**2 / bias**2
     if not var_next >= VARIANCE_FLOOR_REL * var:
         raise NumericalConsistencyError(
             f"posterior variance {var_next} is below the floor "
@@ -177,38 +180,35 @@ def _posterior_moments(
     return mu_next, math.sqrt(var_next)
 
 
-def _optimal_tau_vec(sigma: np.ndarray, inv_T: float) -> np.ndarray:
-    """optimal_tau on an array of sigmas, with inv_T = 1/T."""
-    root = np.sqrt(16.0 * np.pi**2 * sigma**2 + inv_T**2)
-    return 2.0 / (root + inv_T)
+def _optimal_tau_vec(var: np.ndarray, inv_T: float) -> np.ndarray:
+    """optimal_tau on an array of variances sigma^2, with inv_T = 1/T."""
+    return 2.0 / (np.sqrt(_SIXTEEN_PI_SQ * var + inv_T**2) + inv_T)
 
 
 def _posterior_moments_vec(
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    tau: np.ndarray,
-    m: np.ndarray,
-    model: LikelihoodModel,
+    mu: np.ndarray, var: np.ndarray, tau: np.ndarray, up: np.ndarray, model: LikelihoodModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_posterior_moments elementwise on arrays, for beliefs advanced in lockstep.
+    """_posterior_moments elementwise on arrays of means and variances: posterior (mu, var).
 
-    Its own function, not a type branch in one kernel: on the per-shot float
-    path the dispatch costs more than it saves.  It agrees with the scalar
-    form to rounding (np.exp and math.exp may differ by an ulp), as tested.
+    up is a boolean array, true where m = +1.  The variance falls by the
+    square of the mean step 2 pi m beta var tau damp / (1 + m alpha), which
+    is the scalar form's reduction factor for factor.  Its own function, not
+    a type branch in one kernel: on the per-shot float path the dispatch
+    costs more than it saves.  It agrees with the scalar form to rounding.
     """
-    b = model.beta
+    if up.dtype != np.bool_:  # np.where would read an outcome of -1 as true
+        raise TypeError(f"up must be a boolean array, got dtype {up.dtype}")
+    b, a = model.beta, model.alpha
     if b == 0.0:
-        return mu, sigma
-    var = sigma**2
-    damp = np.exp(-tau * model.inv_T - TWO_PI**2 / 2.0 * var * tau**2)
-    bias = 1.0 + m * model.alpha
-    mu_next = mu + TWO_PI * m * b * var * tau * damp / bias
-    var_next = var - TWO_PI**2 * b**2 * sigma**4 * tau**2 * damp**2 / bias**2
-    if not np.all(var_next >= VARIANCE_FLOOR_REL * var):
+        return mu, var
+    damp = np.exp(tau * -model.inv_T - _HALF_TWO_PI_SQ * var * tau**2)
+    step = np.where(up, TWO_PI * b / (1.0 + a), -TWO_PI * b / (1.0 - a)) * var * tau * damp
+    var_next = var - step * step
+    if not (var_next >= VARIANCE_FLOOR_REL * var).all():
         raise NumericalConsistencyError(
             f"posterior variance {np.min(var_next)} is below the floor (model={model})"
         )
-    return mu_next, np.sqrt(var_next)
+    return mu + step, var_next
 
 
 def update(

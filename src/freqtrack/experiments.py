@@ -42,8 +42,8 @@ MAD_TO_SIGMA = 1.4826  # scales a median absolute deviation to a Gaussian sigma
 # ---------------------------------------------------------------------------
 
 
-def _sigma_in_range(sigma: float) -> bool:  # sigma**4, hence sigma**2, finite and nonzero
-    return 0.0 < sigma < 2.0**256 and sigma**4 > 0.0  # from 2**256 on, sigma**4 overflows
+def _sigma_in_range(sigma: float) -> bool:  # sigma**4 (hence sigma**2) finite and normal
+    return 0.0 < sigma < 2.0**256 and sigma**4 >= 2.0**-1022  # overflows from 2**256 on
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class CampaignConfig:
         if not 0 <= self.master_seed < 2**128:  # the keys Philox accepts
             raise ValueError(f"master_seed must be >= 0 and < 2**128, got {self.master_seed}")
         if not _sigma_in_range(self.prior.sigma):
-            raise ValueError(f"prior sigma {self.prior.sigma}: sigma**4 is zero or infinite")
+            raise ValueError(f"prior sigma {self.prior.sigma}: sigma**4 is subnormal or infinite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,19 +120,19 @@ def _lockstep(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None):
     if z is not None:
         comp = noise.transition(0.0, 0.0, z[0])
         eps_true = eps + comp.sum(axis=1)
+    var = sigma**2  # carried through every shot; the square root is taken once at the end
     for shot, u_shot in enumerate(u):
-        tau = _optimal_tau_vec(sigma, update_model.inv_T)
+        tau = _optimal_tau_vec(var, update_model.inv_T)
         delta_f = 0.25 / tau + mu
         p_plus = 0.5 + 0.5 * (
-            alpha + beta * np.exp(-tau * inv_T) * np.cos(TWO_PI * (delta_f - eps_true) * tau)
+            alpha + beta * np.exp(tau * -inv_T) * np.cos(TWO_PI * (delta_f - eps_true) * tau)
         )
-        m = np.where(u_shot < p_plus, 1, -1)
-        mu, sigma = _posterior_moments_vec(mu, sigma, tau, m, update_model)
+        mu, var = _posterior_moments_vec(mu, var, tau, u_shot < p_plus, update_model)
         if z is not None:
             cycle = (tau + READOUT_TIME) + DEPLETION_TIME  # cycle_duration, elementwise
             comp = noise.transition(comp, noise.decay(cycle[:, None]), z[shot + 1])
             eps_true = eps + comp.sum(axis=1)
-    return mu, sigma, eps_true
+    return mu, np.sqrt(var), eps_true
 
 
 def _campaign(cfg: CampaignConfig, extra: int = 0) -> tuple[ErrorStats, np.ndarray]:

@@ -145,7 +145,7 @@ class TestExitCodes:
             ["track", "--target-detuning", "inf"],
             ["track", "--sigma-eps", "inf"],
             ["compare-frequentist", "--tau-multipliers", ","],
-            # sigma0**2 or sigma0**4 underflows to 0 or overflows
+            # sigma0**2 or sigma0**4 underflows to 0 or overflows, or sigma0**4 is subnormal
             ["estimate", "--sigma0", "1e-300"],
             ["estimate", "--sigma0", "1e100"],
             ["estimate", "--sigma0", "1e300"],
@@ -154,6 +154,8 @@ class TestExitCodes:
             ["compare-frequentist", "--sigma0", "1e300"],
             ["track", "--sigma0", "1e300"],
             ["campaign", "--runs", "3", "--sigma0", "1e-300"],
+            ["estimate", "--sigma0", "1e-80"],
+            ["campaign", "--runs", "3", "--sigma0", "1e-80"],
         ],
     )
     def test_out_of_bounds_exits_1_before_writing(self, argv, tmp_path, capsys):
@@ -171,14 +173,21 @@ class TestExitCodes:
         assert "seed must be" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("sigma0", ["1e-80", "1e76"])
+    @pytest.mark.parametrize("sigma0", ["1.3e-77", "1e76"])
     def test_extreme_sigma0_inside_the_closed_form_range_runs(self, sigma0, tmp_path):
-        # sigma0**4 is a nonzero subnormal at 1e-80 and finite at 1e76.
+        # sigma0**4 is just above the smallest normal double at 1.3e-77 and finite at 1e76.
         out = tmp_path / "c.csv"
         argv = ["campaign", "--runs", "3", "--n", "2", "--sigma0", sigma0]
         assert main([*argv, "--output", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
         assert len(rows) == 3 and all(float(row[3]) > 0.0 for row in rows)
+
+    def test_sigma_turning_subnormal_mid_run_exits_2(self, tmp_path, capsys):
+        # sigma0**4 is normal, but one ideal step takes it below the smallest normal double.
+        argv = ["estimate", "--sigma0", "1.3e-77", "--alpha", "0", "--beta", "1"]
+        assert main([*argv, "--coherence-time", "inf", "--output", str(tmp_path / "e.csv")]) == 2
+        assert "subnormal" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_largest_seed_accepted(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -14,6 +14,7 @@ from freqtrack.estimator import (
     EstimationAborted,
     GaussianBelief,
     LikelihoodModel,
+    NumericalConsistencyError,
     ProbeSettings,
     StepRecord,
     design_probe,
@@ -276,6 +277,17 @@ class TestUpdate:
         for m in (-1, 1):
             after = update(belief, probe, m, IDEAL_MODEL)
             assert after.sigma / belief.sigma == pytest.approx(IDEAL_SHRINK, rel=1e-13)
+
+    def test_subnormal_sigma_pow_4_raises(self):
+        # A subnormal sigma**4 has lost bits: one ideal step at sigma = 1.3e-81
+        # shrank sigma by 0.609 instead of IDEAL_SHRINK.
+        for sigma in (1.3e-81, 1e-80):
+            belief = GaussianBelief(0.0, sigma)
+            with pytest.raises(NumericalConsistencyError, match="subnormal"):
+                update(belief, design_probe(belief, IDEAL_MODEL), 1, IDEAL_MODEL)
+        belief = GaussianBelief(0.0, 1.3e-77)  # sigma**4 just above the smallest normal
+        after = update(belief, design_probe(belief, IDEAL_MODEL), 1, IDEAL_MODEL)
+        assert after.sigma / belief.sigma == pytest.approx(IDEAL_SHRINK, rel=1e-13)
 
 
 class TestRunEstimation:

@@ -50,25 +50,27 @@ from freqtrack.qubitsim import (
 
 class TestSigmaRange:
     @pytest.mark.parametrize(
-        "sigma", [1e-80, 1.0, 1e6, 1e76, math.nextafter(2.0**256, 0.0)], ids=str
+        "sigma", [1.3e-77, 1.0, 1e6, 1e76, math.nextafter(2.0**256, 0.0)], ids=str
     )
     def test_accepted(self, sigma):
         assert _sigma_in_range(sigma)
-        assert 0.0 < sigma**2 < math.inf and 0.0 < sigma**4 < math.inf
+        assert 0.0 < sigma**2 < math.inf and sys.float_info.min <= sigma**4 < math.inf
 
     @pytest.mark.parametrize(
-        "sigma", [1e-300, 1e-82, 2.0**256, 1e100, 1e300, 0.0, -1.0, math.nan, math.inf], ids=str
+        "sigma",
+        [1e-300, 1e-82, 1e-80, 2.0**256, 1e100, 1e300, 0.0, -1.0, math.nan, math.inf],
+        ids=str,
     )
     def test_rejected(self, sigma):
         assert not _sigma_in_range(sigma)
 
     def test_boundary_is_where_sigma_pow_4_underflows(self):
-        # The smallest accepted sigma: bisect the doubles for sigma**4 > 0.
-        lo, hi = 1e-82, 1e-80
+        # The smallest accepted sigma: bisect the doubles for a normal sigma**4.
+        lo, hi = 1e-80, 1.3e-77
         while math.nextafter(lo, hi) < hi:
             mid = math.sqrt(lo * hi) if hi / lo > 1.0 + 1e-9 else math.nextafter(lo, hi)
-            lo, hi = (lo, mid) if mid**4 > 0.0 else (mid, hi)
-        assert lo**4 == 0.0 < hi**4
+            lo, hi = (lo, mid) if mid**4 >= sys.float_info.min else (mid, hi)
+        assert lo**4 < sys.float_info.min <= hi**4
         assert not _sigma_in_range(lo) and _sigma_in_range(hi)
 
 
@@ -176,11 +178,12 @@ class TestCampaign:
                 master_seed=seed,
             )
 
-    @pytest.mark.parametrize("sigma", [1e-300, 1e-82, 1e100, 1e300], ids=str)
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-82, 1e-80, 1e100, 1e300], ids=str)
     def test_prior_outside_the_closed_form_range_rejected(self, sigma):
-        # A finite, positive sigma whose sigma**4 underflows to 0 or overflows:
-        # campaigns used to run it and report a final sigma of 0.0.
-        with pytest.raises(ValueError, match=re.escape("sigma**4 is zero or infinite")):
+        # A finite, positive sigma whose sigma**4 is subnormal, underflows to 0 or
+        # overflows: campaigns used to run it and report a final sigma of 0.0.
+        match = re.escape("sigma**4 is subnormal or infinite")
+        with pytest.raises(ValueError, match=match):
             CampaignConfig(
                 run_count=3,
                 n_shots=2,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from freqtrack import oracle
 from freqtrack.estimator import (
+    IDEAL_MODEL,
     TWO_PI,
     GaussianBelief,
     LikelihoodModel,
@@ -65,8 +66,9 @@ def test_step_matches_oracle_moments(model, mu, sigma, mult, m):
 )
 def test_array_form_matches_scalar_form(model, rows):
     mu, sigma, mult, m = (np.array(column) for column in zip(*rows))
-    tau = mult * _optimal_tau_vec(sigma, model.inv_T)
-    mu_v, sigma_v = _posterior_moments_vec(mu, sigma, tau, m, model)
+    tau = mult * _optimal_tau_vec(sigma**2, model.inv_T)
+    mu_v, var_v = _posterior_moments_vec(mu, sigma**2, tau, m == 1, model)
+    sigma_v = np.sqrt(var_v)
     for i, (mu_i, sigma_i, mult_i, m_i) in enumerate(rows):
         tau_i = mult_i * optimal_tau(sigma_i, model.T)
         mu_s, sigma_s = _posterior_moments(mu_i, sigma_i, tau_i, m_i, model)
@@ -95,7 +97,42 @@ def test_impossible_variance_raises_in_both_forms(beta):
     with pytest.raises(NumericalConsistencyError):
         _posterior_moments(0.0, sigma, tau, 1, model)
     with pytest.raises(NumericalConsistencyError):
-        _posterior_moments_vec(np.zeros(3), np.full(3, sigma), np.full(3, tau), np.ones(3), model)
+        _posterior_moments_vec(
+            np.zeros(3), np.full(3, sigma**2), np.full(3, tau), np.ones(3, bool), model
+        )
+
+
+@st.composite
+def edge_models(draw):  # alpha near +-(1 - beta), where the outcome constants differ most
+    beta = draw(st.floats(0.05, 1.0))
+    alpha = draw(st.sampled_from((-1.0, 1.0))) * (1.0 - beta) * draw(st.floats(0.9, 1.0))
+    T = draw(st.one_of(st.just(math.inf), st.floats(1e-7, 1e-4)))
+    return LikelihoodModel(alpha=alpha, beta=beta, T=T)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edge_models(), st.floats(-2.0, 2.0), st.floats(1e-3, 1e12), st.lists(outcomes, max_size=20))
+def test_carried_variance_matches_run_estimation(model, mu_in_sigmas, sigma, seq):
+    # The lockstep loop's kernels, stepped shot by shot on a carried variance,
+    # against the scalar controller loop on the same outcomes.
+    mu_v, var_v = np.array([mu_in_sigmas * sigma]), np.array([sigma**2])
+    for m in seq:
+        tau = _optimal_tau_vec(var_v, model.inv_T)
+        mu_v, var_v = _posterior_moments_vec(mu_v, var_v, tau, np.array([m == 1]), model)
+    replay = iter(seq)
+    prior = GaussianBelief(mu_in_sigmas * sigma, sigma)
+    final, _ = run_estimation(prior, len(seq), model, lambda probe: next(replay))
+    tol = 1e-12 * final.sigma
+    assert abs(mu_v[0] - final.mu) <= tol
+    assert abs(math.sqrt(var_v[0]) - final.sigma) <= tol
+
+
+def test_array_form_rejects_non_boolean_outcomes():
+    # np.where would read an outcome of -1 as true.
+    var = np.full(2, 1e12)
+    tau = _optimal_tau_vec(var, 0.0)
+    with pytest.raises(TypeError, match="boolean"):
+        _posterior_moments_vec(np.zeros(2), var, tau, np.array([1, -1]), IDEAL_MODEL)
 
 
 # The scalar closed form exactly as it was written before its leading constants
