@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiments, qubitsim
-from .estimator import GaussianBelief, LikelihoodModel, run_estimation
+from .estimator import GaussianBelief, LikelihoodModel, _sigma_in_range, run_estimation
 from .qubitsim import NoiseProcess, sample_outcome
 
 OUTDIR_ENV = "FREQTRACK_OUTDIR"
@@ -207,7 +207,7 @@ def _validate_params(command: str, params: dict) -> None:
         low, exclusive = bound
         if not all(v > low if exclusive else v >= low for v in values):
             raise ScenarioError(f"{key} must be {'>' if exclusive else '>='} {low}, got {value}")
-        if key == "sigma0" and not experiments._sigma_in_range(value):
+        if key == "sigma0" and not _sigma_in_range(value):
             raise ScenarioError(f"sigma0**4 must be finite and normal, got {value}")
     _model_from(params)
     if command == "campaign":

@@ -27,6 +27,11 @@ _TWO_PI_SQ, _HALF_TWO_PI_SQ = TWO_PI**2, TWO_PI**2 / 2.0  # folded as evaluated 
 _SIXTEEN_PI_SQ = 16.0 * math.pi**2
 _NORMAL_MIN = 2.0**-1022  # sys.float_info.min, the smallest normal double
 
+
+def _sigma_in_range(sigma: float) -> bool:  # sigma**4 (hence sigma**2) finite and normal
+    return 0.0 < sigma < 2.0**256 and sigma**4 >= _NORMAL_MIN  # overflows from 2**256 on
+
+
 # A posterior variance below this fraction of the prior's is a numerical fault;
 # every valid model keeps at least 1 - 1/e of it.
 VARIANCE_FLOOR_REL = 1e-12

@@ -19,9 +19,11 @@ from .estimator import (
     TWO_PI,
     GaussianBelief,
     LikelihoodModel,
+    NumericalConsistencyError,
     ProbeSettings,
     _optimal_tau_vec,
     _posterior_moments_vec,
+    _sigma_in_range,
     likelihood_probability,
     optimal_detuning,
     optimal_tau,
@@ -40,10 +42,6 @@ MAD_TO_SIGMA = 1.4826  # scales a median absolute deviation to a Gaussian sigma
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation-error campaigns
 # ---------------------------------------------------------------------------
-
-
-def _sigma_in_range(sigma: float) -> bool:  # sigma**4 (hence sigma**2) finite and normal
-    return 0.0 < sigma < 2.0**256 and sigma**4 >= 2.0**-1022  # overflows from 2**256 on
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,12 @@ def _lockstep(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None):
         comp = noise.transition(0.0, 0.0, z[0])
         eps_true = eps + comp.sum(axis=1)
     var = sigma**2  # carried through every shot; the square root is taken once at the end
+    last = len(u) - 1
     for shot, u_shot in enumerate(u):
+        # The scalar form's check that sigma**4 stays normal: exact on the last shot, as var never
+        # grows, and every 512th, since tau**2 overflows >= 780 shots past it (<= 0.67 bits a shot).
+        if (shot == last or shot % 512 == 511) and not _sigma_in_range(math.sqrt(var.min())):
+            raise NumericalConsistencyError(f"sigma**4 is subnormal (sigma={math.sqrt(var.min())})")
         tau = _optimal_tau_vec(var, update_model.inv_T)
         delta_f = 0.25 / tau + mu
         p_plus = 0.5 + 0.5 * (
@@ -284,6 +287,8 @@ def closed_loop_track(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if noise.kind != QUASISTATIC:
         raise ValueError("closed_loop_track supports quasistatic noise only")
+    if not _sigma_in_range(sigma0):
+        raise ValueError(f"sigma0 {sigma0}: sigma**4 is subnormal or infinite")
 
     rng = np.random.default_rng(seed)
     taus = np.linspace(tau_max / m_cycles, tau_max, m_cycles)

@@ -8,6 +8,7 @@ good the Gaussian approximation is at a given probe setting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,7 @@ def moments(p: GridPosterior) -> tuple[float, float]:
     """(mean, standard deviation) of the grid distribution, in Hz."""
     mean = float(np.dot(p.weights, p.eps_values))
     var = float(np.dot(p.weights, (p.eps_values - mean) ** 2))
-    return mean, np.sqrt(var)
+    return mean, math.sqrt(var)
 
 
 def gaussian_fit(p: GridPosterior) -> GaussianBelief:

@@ -150,32 +150,6 @@ def step_noise(
     return QubitState(eps_true=float(comp.sum()), components=tuple(comp.tolist()))
 
 
-def noise_trajectory(
-    process: NoiseProcess, n_samples: int, dt: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Sampled eps(t) trajectory at uniform spacing dt, starting from stationarity.
-
-    Vectorized over time (recursive filter per OU component), for spectral
-    checks that need long records.
-    """
-    from scipy.signal import lfilter
-
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if process.kind == QUASISTATIC:
-        return np.full(n_samples, rng.normal(0.0, process.sigma_eps))
-
-    out = np.zeros(n_samples)
-    for a in process.decay(dt):
-        # x[t] = a x[t-1] + innovation[t]: the transition from zero is the innovation.
-        innov = process.transition(0.0, a, rng.standard_normal(n_samples))
-        innov[0] += a * process.transition(0.0, 0.0, rng.standard_normal())
-        out += lfilter([1.0], [1.0, -a], innov)
-    return out
-
-
 def sample_outcome(
     eps_true: float,
     probe: ProbeSettings,

@@ -183,11 +183,20 @@ class TestExitCodes:
         assert len(rows) == 3 and all(float(row[3]) > 0.0 for row in rows)
 
     def test_sigma_turning_subnormal_mid_run_exits_2(self, tmp_path, capsys):
-        # sigma0**4 is normal, but one ideal step takes it below the smallest normal double.
-        argv = ["estimate", "--sigma0", "1.3e-77", "--alpha", "0", "--beta", "1"]
-        assert main([*argv, "--coherence-time", "inf", "--output", str(tmp_path / "e.csv")]) == 2
-        assert "subnormal" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        # sigma0**4 is normal, but ideal steps take it below the smallest normal double:
+        # one step at sigma0 = 1.3e-77, or 1700 steps from the default prior, after which
+        # tau**2 used to overflow in the array form with only a warning and exit 0.
+        ideal = ["--alpha", "0", "--beta", "1", "--coherence-time", "inf"]
+        truth = ["--truth-alpha", "0", "--truth-beta", "1", "--truth-coherence-time", "inf"]
+        for argv in (
+            ["estimate", "--sigma0", "1.3e-77", *ideal],
+            ["campaign", "--runs", "3", "--n", "1700", *ideal, *truth],
+            ["track", "--n", "1700", *ideal],
+            ["compare-frequentist", "--shots", "1700", "--runs", "3", *ideal],
+        ):
+            assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 2, argv
+            assert "subnormal" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
     def test_largest_seed_accepted(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -278,6 +287,26 @@ class TestCampaignOutput:
         main(["campaign", "--runs", "20", "--n", "5", "--seed", "1", "--output", str(a)])
         main(["campaign", "--runs", "20", "--n", "5", "--seed", "2", "--output", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+
+class TestCsvCells:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--n", "4"],
+            ["campaign", "--runs", "5", "--n", "4"],
+            ["validate-gaussian", "--multipliers", "1,3"],
+            ["track", "--cycles", "10", "--repetitions", "5"],
+            ["compare-frequentist", "--runs", "5", "--tau-multipliers", "1,2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_data_cell_parses_as_a_float(self, argv, tmp_path):
+        # numpy 2's repr of a numpy float, np.float64(...), is not a number.
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == 0
+        cells = [cell for line in out.read_text().splitlines()[3:] for cell in line.split(",")]
+        assert cells and all(math.isfinite(float(cell)) for cell in cells)
 
 
 class TestOtherCommands:

@@ -18,6 +18,7 @@ from freqtrack.estimator import (
     REFERENCE_MODEL,
     GaussianBelief,
     LikelihoodModel,
+    _sigma_in_range,
     design_probe,
     optimal_tau,
     run_estimation,
@@ -34,7 +35,6 @@ from freqtrack.experiments import (
     frequentist_estimate,
     gaussian_validity_sweep,
     mad_calibration,
-    _sigma_in_range,
     run_campaign,
 )
 from freqtrack.qubitsim import (
@@ -364,6 +364,10 @@ class TestClosedLoopTrack:
             closed_loop_track(
                 NoiseProcess(kind="ou_drift"), 8, 50, 7e-6, IDEAL_MODEL, 0
             )
+        # sigma0**4 subnormal used to run silently, and sigma0**2 overflowing to warn mid-run.
+        for sigma0 in (1e-80, 1e300):
+            with pytest.raises(ValueError, match=re.escape("sigma**4 is subnormal or infinite")):
+                closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 0, sigma0=sigma0)
 
 
 class TestFitFringe:

@@ -25,6 +25,7 @@ from freqtrack.estimator import (
     run_estimation,
     update,
 )
+from freqtrack.experiments import _lockstep
 
 # Every posterior variance is at least this fraction of the prior's: the
 # reduction is (beta/bias)^2 x^2 exp(-x^2) sigma^2 with x = 2 pi sigma tau,
@@ -125,6 +126,35 @@ def test_carried_variance_matches_run_estimation(model, mu_in_sigmas, sigma, seq
     tol = 1e-12 * final.sigma
     assert abs(mu_v[0] - final.mu) <= tol
     assert abs(math.sqrt(var_v[0]) - final.sigma) <= tol
+
+
+IDEAL_SHRINK = math.sqrt(1.0 - math.exp(-1.0))  # per-shot sigma ratio, ideal model
+
+
+def _raises_subnormal(run):
+    try:
+        run()
+    except NumericalConsistencyError as exc:
+        assert "subnormal" in str(exc)
+        return True
+    return False
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 1200), st.floats(1.0, 1e6), st.sampled_from((-1.0, 1.0)))
+def test_lockstep_raises_on_the_same_shot_counts_as_run_estimation(n, ulps, sign):
+    # sigma0 puts sigma**4 at the smallest normal double on entering shot n, give or take
+    # ulps * n units of 2**-52.  The two forms round differently, so closer than ~n * 2**-55
+    # to that point (measured: 2.7e-17 n at most) their decisions may differ.
+    sigma0 = 2.0**-255.5 / IDEAL_SHRINK ** (n - 1) * (1.0 + sign * ulps * n * 2.0**-52)
+    zero, u = np.zeros(1), np.full((n, 1), 0.5)
+    in_array_form = _raises_subnormal(
+        lambda: _lockstep(zero, np.array([sigma0]), zero, u, IDEAL_MODEL, IDEAL_MODEL)
+    )
+    in_scalar_form = _raises_subnormal(
+        lambda: run_estimation(GaussianBelief(0.0, sigma0), n, IDEAL_MODEL, lambda probe: 1)
+    )
+    assert in_array_form == in_scalar_form
 
 
 def test_array_form_rejects_non_boolean_outcomes():
