@@ -23,11 +23,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, experiments, qubitsim
 from .estimator import GaussianBelief, LikelihoodModel, _sigma_in_range, run_estimation
-from .qubitsim import NoiseProcess, sample_outcome
+from .qubitsim import NoiseProcess, rng_for_run, sample_outcome, standard_normals
 
 OUTDIR_ENV = "FREQTRACK_OUTDIR"
 
@@ -170,10 +168,13 @@ def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -
     if fmt not in ("csv", "json"):
         raise ScenarioError(f"format must be 'csv' or 'json', got {fmt!r}")
 
-    output = flag_values.get("output") or config.get("output")
+    output = flag_values.get("output")
+    output = config.get("output") if output is None else output
     if output is None:
         outdir = os.environ.get(OUTDIR_ENV, ".")
         output = str(Path(outdir) / f"{command}.{fmt}")
+    elif not isinstance(output, str) or not output:
+        raise ScenarioError(f"output must be a non-empty path, got {output!r}")
 
     _validate_params(command, params)
     return Scenario(command, params, int(seed), output, fmt)
@@ -280,10 +281,9 @@ def _run_estimate(scenario: Scenario) -> tuple[list[str], list[list], dict | Non
     p = scenario.params
     model = _model_from(p)
     prior = GaussianBelief(p["mu0"], p["sigma0"])
-    rng = np.random.default_rng(scenario.seed)
-    eps_true = p["eps_true"]
-    if eps_true is None:
-        eps_true = prior.mu + prior.sigma * float(rng.standard_normal())
+    rng = rng_for_run(scenario.seed, 0)  # run 0 of `campaign --seed s --runs 1`
+    z = float(standard_normals(rng.random(2))[0])  # drawn even for a given eps_true
+    eps_true = prior.mu + prior.sigma * z if p["eps_true"] is None else p["eps_true"]
     _, trace = run_estimation(
         prior, p["n"], model, lambda probe: sample_outcome(eps_true, probe, model, rng)
     )

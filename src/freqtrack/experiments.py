@@ -33,6 +33,7 @@ from .qubitsim import (
     QUASISTATIC,
     READOUT_TIME,
     NoiseProcess,
+    rng_for_run,
     standard_normals,
 )
 
@@ -138,22 +139,30 @@ def _lockstep(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None):
     return mu, np.sqrt(var), eps_true
 
 
+def _rows(seed: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z, u): the prior normal z[i] and the `width` uniforms u[i] after it, for `count` rows.
+
+    Row i of the block is the stream rng_for_run(seed, i, W): two uniforms for z[i], then u[i],
+    then padding to W, a multiple of 4 (doubles per Philox block).
+    """
+    stop = 2 + width
+    block = rng_for_run(seed, 0).random((count, stop + -stop % 4))
+    return standard_normals(block[:, :2])[:, 0], block[:, 2:stop]
+
+
 def _campaign(cfg: CampaignConfig, extra: int = 0) -> tuple[ErrorStats, np.ndarray]:
     """(stats, u_extra): every run of the campaign, in lockstep.
 
-    Row i of one Philox block, the stream rng_for_run(master_seed, i, width), holds run
-    i's variates: two uniforms for the prior normal, one per shot, `extra` more (u_extra[:, i]),
-    two per pair of the k (n + 1) drift normals z, then padding to a multiple of 4.
+    Run i's row (_rows) holds, after the prior normal's pair, one uniform per shot, `extra`
+    more (u_extra[:, i]), then two per pair of the k (n + 1) drift normals z.
     """
     n, R = cfg.n_shots, cfg.run_count
     k = cfg.noise.rates.size if cfg.noise is not None else 0
-    start, drift = 2 + n + extra, k * (n + 1)
-    stop = start + drift + drift % 2
-    bits = np.random.Philox(key=cfg.master_seed)  # loads numpy.random here, not on import
-    block = np.random.Generator(bits).random((R, stop + -stop % 4))
-    eps0 = cfg.prior.mu + cfg.prior.sigma * standard_normals(block[:, :2])[:, 0]
-    u = block[:, 2:start].T
-    z = standard_normals(block[:, start:stop])[:, :drift].reshape(R, n + 1, k).swapaxes(0, 1)
+    start, drift = n + extra, k * (n + 1)
+    z0, rest = _rows(cfg.master_seed, R, start + drift + drift % 2)
+    eps0 = cfg.prior.mu + cfg.prior.sigma * z0
+    u = rest[:, :start].T
+    z = standard_normals(rest[:, start:])[:, :drift].reshape(R, n + 1, k).swapaxes(0, 1)
     mu0, sigma0 = np.full(R, cfg.prior.mu), np.full(R, cfg.prior.sigma)
     mu, sigma, eps_true = _lockstep(
         mu0, sigma0, eps0, u[:n], cfg.truth_model, cfg.update_model, cfg.noise, z if k else None
@@ -275,9 +284,10 @@ def closed_loop_track(
     warm-started from the previous estimate) and the verification detuning is
     offset so the expected total detuning is target_detuning.  The
     feedback-off arm keeps the nominal frequency (assumes zero shift).  The
-    quasistatic shift is redrawn per repetition; fringes are averaged over
-    repetitions.  All repetitions are advanced in lockstep (vectorized), so
-    the result depends only on the seed.
+    arms are paired: repetition r's row of one Philox block (_rows) holds the
+    normal of its quasistatic shift, then per cycle n_shots estimation
+    uniforms and one verification uniform that both arms use.  So the fringes,
+    averaged over repetitions advanced in lockstep, differ only by the feedback.
     """
     if m_cycles < 2:
         raise ValueError(f"m_cycles must be >= 2, got {m_cycles}")
@@ -290,34 +300,21 @@ def closed_loop_track(
     if not _sigma_in_range(sigma0):
         raise ValueError(f"sigma0 {sigma0}: sigma**4 is subnormal or infinite")
 
-    rng = np.random.default_rng(seed)
+    z0, rows = _rows(seed, repetitions, m_cycles * (n_shots + 1))
+    eps = noise.sigma_eps * z0
+    u = rows.reshape(repetitions, m_cycles, n_shots + 1).transpose(1, 2, 0)  # cycle, variate, rep
     taus = np.linspace(tau_max / m_cycles, tau_max, m_cycles)
-    R = repetitions
-
-    flips_fb = np.zeros(m_cycles)
-    flips_open = np.zeros(m_cycles)
-    mu_hat = np.zeros(R)  # warm start carries across the M cycles of each repetition
-
-    # Feedback arm, vectorized across repetitions: each element is one repetition.
-    eps = rng.normal(0.0, noise.sigma_eps, size=R)
+    flips = np.zeros((2, m_cycles))  # feedback arm, open arm
+    mu_hat = np.zeros(repetitions)  # warm start carries across the M cycles of each repetition
     for j, tau_j in enumerate(taus):
-        # Estimation sequence, warm-started at the previous estimate.
-        mu_hat, _, _ = _lockstep(
-            mu_hat, np.full(R, sigma0), eps, rng.random((n_shots, R)), model, model
-        )
-        # Verification Ramsey shot with the drive adjusted by the estimate.
-        p_flip = likelihood_probability(1, eps, ProbeSettings(tau_j, target_detuning + mu_hat), model)
-        flips_fb[j] = np.mean(rng.random(R) < p_flip)
-
-    # Feedback-off arm: fresh quasistatic draws, nominal frequency.
-    eps = rng.normal(0.0, noise.sigma_eps, size=R)
-    for j, tau_j in enumerate(taus):
-        p_flip = likelihood_probability(1, eps, ProbeSettings(tau_j, target_detuning), model)
-        flips_open[j] = np.mean(rng.random(R) < p_flip)
+        mu_hat, _, _ = _lockstep(mu_hat, np.full(repetitions, sigma0), eps, u[j, :-1], model, model)
+        for arm, offset in enumerate((mu_hat, 0.0)):  # the open arm's drive is not offset
+            probe = ProbeSettings(tau_j, target_detuning + offset)
+            flips[arm, j] = np.mean(u[j, -1] < likelihood_probability(1, eps, probe, model))
 
     return (
-        FringeRecord(tau_values=taus, flip_fractions=flips_fb, feedback=True),
-        FringeRecord(tau_values=taus, flip_fractions=flips_open, feedback=False),
+        FringeRecord(tau_values=taus, flip_fractions=flips[0], feedback=True),
+        FringeRecord(tau_values=taus, flip_fractions=flips[1], feedback=False),
     )
 
 

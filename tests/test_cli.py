@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from freqtrack import experiments
+from freqtrack import cli, experiments
 from freqtrack.cli import (
     ScenarioError,
     main,
@@ -13,6 +13,7 @@ from freqtrack.cli import (
     read_header,
     resolve_scenario,
 )
+from freqtrack.qubitsim import sample_outcome
 
 
 class TestScenarioResolution:
@@ -163,6 +164,26 @@ class TestExitCodes:
         assert "freqtrack:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("output", [5, False, 0, "", ["o.csv"]], ids=repr)
+    def test_config_output_that_is_no_path_exits_1(self, output, tmp_path, monkeypatch, capsys):
+        # These used to reach the writer and exit 2 with a bare TypeError or ValueError.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": output}))
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        monkeypatch.setenv("FREQTRACK_OUTDIR", str(run_dir))
+        assert main(["estimate", "--n", "2", "--config", str(cfg)]) == 1
+        assert "output must be a non-empty path" in capsys.readouterr().err
+        assert list(run_dir.iterdir()) == []
+
+    def test_empty_output_flag_exits_1(self, tmp_path, monkeypatch, capsys):
+        # It used to fall back to the default path and write estimate.csv there.
+        monkeypatch.setenv("FREQTRACK_OUTDIR", str(tmp_path))
+        assert main(["estimate", "--n", "2", "--output", ""]) == 1
+        assert "output must be a non-empty path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("seed", [-1, 2**128], ids=["minus_1", "2_pow_128"])
     @pytest.mark.parametrize(
         "command", ["estimate", "campaign", "validate-gaussian", "track", "compare-frequentist"]
@@ -256,6 +277,39 @@ class TestEstimateOutput:
         for path in (a, b):
             assert main(["estimate", "--n", "15", "--seed", "3", "--output", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_replays_campaign_run_0(self, tmp_path, monkeypatch):
+        # estimate --seed s reads the row of run 0 of `campaign --seed s --runs 1` through the
+        # public scalar API: the prior normal's pair, then one uniform per shot.  The final
+        # (mu, sigma) differ from the lockstep loop's only where math.exp and np.exp differ by
+        # an ulp; the shift is the same bits.
+        shifts = []
+
+        def recording(eps_true, probe, model, rng):
+            shifts.append(eps_true)
+            return sample_outcome(eps_true, probe, model, rng)
+
+        monkeypatch.setattr(cli, "sample_outcome", recording)
+        est, camp = tmp_path / "e.csv", tmp_path / "c.csv"
+
+        def last_row(path):
+            return map(float, path.read_text().splitlines()[-1].split(","))
+
+        for seed in range(50):
+            shifts.clear()
+            assert main(["estimate", "--seed", str(seed), "--output", str(est)]) == 0
+            argv = ["campaign", "--seed", str(seed), "--runs", "1", "--output", str(camp)]
+            assert main(argv) == 0
+            *_, mu, sigma = last_row(est)
+            _, eps_true, eps_hat, final_sigma = last_row(camp)
+            assert len(shifts) == 15 and set(shifts) == {eps_true}, seed
+            assert abs(mu - eps_hat) <= 1e-14 * max(abs(eps_hat), final_sigma), seed
+            assert math.isclose(sigma, final_sigma, rel_tol=1e-14), seed
+            # A given eps_true still consumes the prior pair, so the shots stay aligned.
+            rows = est.read_text().splitlines()[3:]
+            argv = ["estimate", "--seed", str(seed), "--eps-true", repr(eps_true)]
+            assert main([*argv, "--output", str(est)]) == 0
+            assert est.read_text().splitlines()[3:] == rows, seed
 
     def test_fixed_eps_true_changes_outcomes(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -18,8 +18,10 @@ from freqtrack.estimator import (
     REFERENCE_MODEL,
     GaussianBelief,
     LikelihoodModel,
+    ProbeSettings,
     _sigma_in_range,
     design_probe,
+    likelihood_probability,
     optimal_tau,
     run_estimation,
     update,
@@ -354,10 +356,33 @@ class TestClosedLoopTrack:
         assert fit_fb.t2 > fit_open.t2
         assert fit_fb.frequency == pytest.approx(1e6, rel=0.02)
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_open_arm_rebuilt_from_each_repetitions_row(self, seed):
+        # Repetition r reads rng_for_run(seed, r, W): two uniforms for its shift's normal, then
+        # per cycle n estimation uniforms and one verification uniform, padded to W, a multiple
+        # of 4 (here 42 doubles padded to 44).  The open arm flips where that uniform falls
+        # below P(+1) at the nominal detuning.
+        n, m, reps, sigma_eps, tau_max = 3, 10, 30, 30e3, 7e-6
+        used = 2 + m * (n + 1)
+        width = used + -used % 4
+        assert (used, width) == (42, 44)
+        flips = np.zeros((reps, m), dtype=bool)
+        for r in range(reps):
+            row = rng_for_run(seed, r, width).random(width)
+            eps = sigma_eps * standard_normals(row[:2])[0]
+            for j, tau in enumerate(np.linspace(tau_max / m, tau_max, m)):
+                p_flip = likelihood_probability(1, eps, ProbeSettings(tau, 1e6), IDEAL_MODEL)
+                flips[r, j] = row[2 + j * (n + 1) + n] < p_flip
+        noise = NoiseProcess(kind="quasistatic", sigma_eps=sigma_eps)
+        _, open_loop = closed_loop_track(noise, n, m, tau_max, IDEAL_MODEL, seed, repetitions=reps)
+        np.testing.assert_array_equal(open_loop.flip_fractions, flips.mean(axis=0))
+
     def test_contracts(self):
         noise = NoiseProcess(kind="quasistatic")
         with pytest.raises(ValueError):
             closed_loop_track(noise, 8, 1, 7e-6, IDEAL_MODEL, 0)
+        with pytest.raises(ValueError):  # a Philox key, which seeds the rows, is < 2**128
+            closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 2**128)
         with pytest.raises(ValueError):
             closed_loop_track(noise, 8, 50, -1.0, IDEAL_MODEL, 0)
         with pytest.raises(ValueError):

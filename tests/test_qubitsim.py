@@ -1,12 +1,15 @@
 """Simulated measurement source: outcome statistics, noise processes, determinism."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.signal import welch
 from scipy.stats import kstest
 
+from freqtrack import qubitsim
 from freqtrack.estimator import IDEAL_MODEL, REFERENCE_MODEL, ProbeSettings, likelihood_probability
 from freqtrack.qubitsim import (
     NoiseProcess,
@@ -180,6 +183,33 @@ class TestReproducibility:
         b = rng_for_run(77, 5).random(4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, rng_for_run(77, 6).random(4))
+
+
+#: numpy.random's stream and bit-generator constructors.
+_STREAM_MAKERS = {
+    "default_rng", "Generator", "RandomState", "SeedSequence",
+    "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64",
+}
+
+
+class TestOneStreamConvention:
+    def test_only_rng_for_run_makes_random_streams(self):
+        # Every variate the package draws comes from a Philox row through rng_for_run, so a
+        # second stream convention cannot come back unnoticed.
+        makers = {}
+        for path in sorted(Path(qubitsim.__file__).parent.glob("*.py")):
+            source = path.read_text()
+            assert "default_rng" not in source, path.name
+            for top in ast.parse(source).body:
+                scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                for node in ast.walk(top):
+                    func = node.func if isinstance(node, ast.Call) else None
+                    name = getattr(func, "attr", getattr(func, "id", None))
+                    if name in _STREAM_MAKERS:
+                        makers.setdefault(scope, []).append(name)
+        assert {scope: sorted(names) for scope, names in makers.items()} == {
+            "qubitsim.rng_for_run": ["Generator", "Philox"]
+        }
 
 
 class TestCycleDuration:
