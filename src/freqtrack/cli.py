@@ -46,13 +46,8 @@ class Scenario:
     output_path: str
     format: str
 
-    def header_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-            "format": self.format,
-        }
+    def header_dict(self) -> dict:  # every field but the output path
+        return {k: v for k, v in vars(self).items() if k != "output_path"}
 
 
 # Per-command parameter schema: name -> (type, default, lower bound).  A bound
@@ -164,7 +159,7 @@ def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -
         seed = 0 if seed is None else _coerce("seed", int, seed)
     if not 0 <= seed < 2**128:  # the keys a Philox stream accepts
         raise ScenarioError(f"seed must be >= 0 and < 2**128, got {seed}")
-    fmt = flag_values.get("format") or config.get("format") or "csv"
+    fmt = next(f for f in (flag_values.get("format"), config.get("format"), "csv") if f is not None)
     if fmt not in ("csv", "json"):
         raise ScenarioError(f"format must be 'csv' or 'json', got {fmt!r}")
 
@@ -317,9 +312,12 @@ def _run_campaign(scenario: Scenario) -> tuple[list[str], list[list], dict | Non
 
 def _run_validate_gaussian(scenario: Scenario) -> tuple[list[str], list[list], dict | None]:
     p = scenario.params
-    rows = experiments.gaussian_validity_sweep(
-        GaussianBelief(p["mu0"], p["sigma0"]), _model_from(p), p["multipliers"]
-    )
+    try:
+        rows = experiments.gaussian_validity_sweep(
+            GaussianBelief(p["mu0"], p["sigma0"]), _model_from(p), p["multipliers"]
+        )
+    except ValueError as exc:  # a multiplier the oracle grid cannot resolve
+        raise ScenarioError(str(exc))
     return (
         ["tau_multiplier", "tau_s", "m", "posterior_sigma_hz", "kl_bits", "n_modes"],
         [[r.tau_multiplier, r.tau, r.m, r.posterior_sigma, r.kl_bits, r.n_modes] for r in rows],

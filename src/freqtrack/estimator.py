@@ -37,6 +37,15 @@ def _sigma_in_range(sigma: float) -> bool:  # sigma**4 (hence sigma**2) finite a
 VARIANCE_FLOOR_REL = 1e-12
 
 
+def _arrays(*values) -> list[np.ndarray]:  # numpy converts a Python-float operand on every call
+    return [np.broadcast_to(np.asarray(v, np.float64), np.shape(v)) for v in values]  # read-only
+
+
+_TWO, _SIXTEEN_PI_SQ_A, _HALF_TWO_PI_SQ_A, _FLOOR_A = _arrays(
+    2.0, _SIXTEEN_PI_SQ, _HALF_TWO_PI_SQ, VARIANCE_FLOOR_REL
+)
+
+
 class NumericalConsistencyError(RuntimeError):
     """Raised when a closed-form update produces an impossible value."""
 
@@ -64,7 +73,7 @@ class LikelihoodModel:
     alpha in (-1, 1), beta in [0, 1], |alpha| + beta <= 1 so all probabilities
     stay in [0, 1].  beta = 0 is the degenerate flat-likelihood model (updates
     are no-ops).  T may be math.inf for a decoherence-free model.  inv_T is
-    1/T, exactly zero for infinite T: an attribute set once, not a field.
+    1/T, exactly zero for infinite T; it and the array form's constants are set once, not fields.
     """
 
     alpha: float = -0.02
@@ -82,8 +91,12 @@ class LikelihoodModel:
             )
         if not self.T > 0.0:
             raise ValueError(f"T must be positive (may be inf), got {self.T}")
-        # Not a cached_property: its __dict__ write would slow every later read of the fields.
-        object.__setattr__(self, "inv_T", 0.0 if math.isinf(self.T) else 1.0 / self.T)
+        # Not cached_properties: their __dict__ writes would slow every later read of the fields.
+        inv_T, gain = 0.0 if math.isinf(self.T) else 1.0 / self.T, TWO_PI * self.beta
+        gains = [-gain / (1.0 - self.alpha), gain / (1.0 + self.alpha)]  # indexed by m == +1
+        names = ("inv_T", "_inv_T", "_inv_T_sq", "_neg_inv_T", "_gains")
+        for name, value in zip(names, (inv_T, *_arrays(inv_T, inv_T**2, -inv_T, gains))):
+            object.__setattr__(self, name, value)
 
 
 #: Reference SPAM/dephasing values for the transmon this model was fit to.
@@ -185,9 +198,9 @@ def _posterior_moments(
     return mu_next, math.sqrt(var_next)
 
 
-def _optimal_tau_vec(var: np.ndarray, inv_T: float) -> np.ndarray:
-    """optimal_tau on an array of variances sigma^2, with inv_T = 1/T."""
-    return 2.0 / (np.sqrt(_SIXTEEN_PI_SQ * var + inv_T**2) + inv_T)
+def _optimal_tau_vec(var: np.ndarray, model: LikelihoodModel) -> np.ndarray:
+    """optimal_tau on an array of variances sigma^2, for the model's T."""
+    return _TWO / (np.sqrt(_SIXTEEN_PI_SQ_A * var + model._inv_T_sq) + model._inv_T)
 
 
 def _posterior_moments_vec(
@@ -201,15 +214,14 @@ def _posterior_moments_vec(
     a type branch in one kernel: on the per-shot float path the dispatch
     costs more than it saves.  It agrees with the scalar form to rounding.
     """
-    if up.dtype != np.bool_:  # np.where would read an outcome of -1 as true
+    if up.dtype != np.bool_:  # a take would read an outcome of -1 as the gain of +1
         raise TypeError(f"up must be a boolean array, got dtype {up.dtype}")
-    b, a = model.beta, model.alpha
-    if b == 0.0:
+    if model.beta == 0.0:
         return mu, var
-    damp = np.exp(tau * -model.inv_T - _HALF_TWO_PI_SQ * var * tau**2)
-    step = np.where(up, TWO_PI * b / (1.0 + a), -TWO_PI * b / (1.0 - a)) * var * tau * damp
+    damp = np.exp(tau * model._neg_inv_T - _HALF_TWO_PI_SQ_A * var * tau**2)
+    step = model._gains.take(up) * var * tau * damp
     var_next = var - step * step
-    if not (var_next >= VARIANCE_FLOOR_REL * var).all():
+    if not (var_next >= _FLOOR_A * var).all():
         raise NumericalConsistencyError(
             f"posterior variance {np.min(var_next)} is below the floor (model={model})"
         )

@@ -21,6 +21,7 @@ from .estimator import (
     LikelihoodModel,
     NumericalConsistencyError,
     ProbeSettings,
+    _arrays,
     _optimal_tau_vec,
     _posterior_moments_vec,
     _sigma_in_range,
@@ -38,6 +39,7 @@ from .qubitsim import (
 )
 
 MAD_TO_SIGMA = 1.4826  # scales a median absolute deviation to a Gaussian sigma
+_TWO_PI, _READOUT, _DEPLETION = _arrays(TWO_PI, READOUT_TIME, DEPLETION_TIME)
 
 
 # ---------------------------------------------------------------------------
@@ -108,32 +110,29 @@ class ErrorStats:
 def _lockstep(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None):
     """Estimations against simulated qubits, one per array element: final (mu, sigma, shift).
 
-    Shot s measures +1 where the uniform u[s] falls below the truth model's
-    P(+1) and applies the array closed form.  Under a drifting noise process
-    (z given) the shift is eps plus the sum of the process's OU components,
-    which start stationary from the standard normals z[0] and step over each
-    probing cycle with z[s + 1].  All randomness comes in through u and z.
+    Shot s measures +1 where u[s] < P(+1) of the truth model, tested as the same event
+    beta e^(-tau/T) sin(2 pi (mu - eps) tau) < 1 + alpha - 2 u[s], and applies the array
+    closed form.  Under a drifting process (z given) the shift is eps plus the sum of the
+    process's OU components, which start stationary from the standard normals z[0] and
+    step over each probing cycle with z[s + 1].  All randomness comes in through u and z.
     """
-    alpha, beta, inv_T = truth_model.alpha, truth_model.beta, truth_model.inv_T
+    beta, neg_inv_T = np.array(truth_model.beta), truth_model._neg_inv_T
     eps_true = eps
     if z is not None:
         comp = noise.transition(0.0, 0.0, z[0])
         eps_true = eps + comp.sum(axis=1)
     var = sigma**2  # carried through every shot; the square root is taken once at the end
     last = len(u) - 1
-    for shot, u_shot in enumerate(u):
+    for shot, threshold in enumerate((1.0 + truth_model.alpha) - 2.0 * u):
         # The scalar form's check that sigma**4 stays normal: exact on the last shot, as var never
         # grows, and every 512th, since tau**2 overflows >= 780 shots past it (<= 0.67 bits a shot).
         if (shot == last or shot % 512 == 511) and not _sigma_in_range(math.sqrt(var.min())):
             raise NumericalConsistencyError(f"sigma**4 is subnormal (sigma={math.sqrt(var.min())})")
-        tau = _optimal_tau_vec(var, update_model.inv_T)
-        delta_f = 0.25 / tau + mu
-        p_plus = 0.5 + 0.5 * (
-            alpha + beta * np.exp(tau * -inv_T) * np.cos(TWO_PI * (delta_f - eps_true) * tau)
-        )
-        mu, var = _posterior_moments_vec(mu, var, tau, u_shot < p_plus, update_model)
+        tau = _optimal_tau_vec(var, update_model)
+        up = beta * np.exp(tau * neg_inv_T) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
+        mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
         if z is not None:
-            cycle = (tau + READOUT_TIME) + DEPLETION_TIME  # cycle_duration, elementwise
+            cycle = (tau + _READOUT) + _DEPLETION  # cycle_duration, elementwise
             comp = noise.transition(comp, noise.decay(cycle[:, None]), z[shot + 1])
             eps_true = eps + comp.sum(axis=1)
     return mu, np.sqrt(var), eps_true
@@ -217,12 +216,14 @@ def gaussian_validity_sweep(
 
     For each tau = multiplier * tau_opt and each outcome, the exact grid
     posterior is computed with the inflection-point detuning; the KL
-    divergence is against its own method-of-moments Gaussian fit.
+    divergence is against its own method-of-moments Gaussian fit.  A multiplier
+    whose tau puts fewer than 4 grid points in a fringe period raises ValueError.
     """
-    if any(mult <= 0 for mult in tau_multipliers):
-        raise ValueError("tau multipliers must be positive")
     tau_opt = optimal_tau(prior.sigma, model.T)
     grid_prior = oracle.from_gaussian(prior)
+    spacing = grid_prior.eps_values[1] - grid_prior.eps_values[0]  # a fringe period is 1/tau
+    if bad := [mult for mult in tau_multipliers if not 0.0 < spacing * (mult * tau_opt) <= 0.25]:
+        raise ValueError(f"tau multipliers {bad}: not positive, or < 4 grid points per fringe")
     rows = []
     for mult in tau_multipliers:
         tau = mult * tau_opt

@@ -83,6 +83,7 @@ class NoiseProcess:
                 raise ValueError("one_over_f needs >= 3 OU components")
             if not 0.0 < self.band[0] < self.band[1]:
                 raise ValueError(f"invalid band {self.band}")
+        object.__setattr__(self, "_neg_rates", -self.rates)  # decay's operand, negated once
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -103,7 +104,7 @@ class NoiseProcess:
 
     def decay(self, dt) -> np.ndarray:
         """Factor exp(-rate dt) by which each component relaxes over dt."""
-        return np.exp(-self.rates * dt)
+        return np.exp(self._neg_rates * dt)
 
     def transition(self, components, decay, z):
         """Exact OU transition of the components, given one standard normal each in z.

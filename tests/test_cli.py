@@ -177,6 +177,34 @@ class TestExitCodes:
         assert "output must be a non-empty path" in capsys.readouterr().err
         assert list(run_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt", [False, "", 0, "xml"], ids=repr)
+    def test_config_format_that_is_no_format_exits_1(self, fmt, tmp_path, monkeypatch, capsys):
+        # A falsy format used to stand for an absent one and write CSV.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": fmt}))
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.setenv("FREQTRACK_OUTDIR", str(run_dir))
+        assert main(["estimate", "--n", "2", "--config", str(cfg)]) == 1
+        assert "format must be 'csv' or 'json'" in capsys.readouterr().err
+        assert list(run_dir.iterdir()) == []
+
+    def test_null_config_format_writes_csv(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": None}))
+        monkeypatch.setenv("FREQTRACK_OUTDIR", str(tmp_path))
+        assert main(["estimate", "--n", "2", "--config", str(cfg)]) == 0
+        assert read_header(str(tmp_path / "estimate.csv"))["format"] == "csv"
+
+    def test_multiplier_the_oracle_grid_cannot_resolve_exits_1(self, tmp_path, capsys):
+        # x4000 and x16383 used to exit 0 with aliased rows (n_modes 4056 and 4853 against
+        # about 6,700 and 27,400 fringe lobes in the prior's support).
+        argv = ["validate-gaussian", "--multipliers", "1,100,1000,4000,16383"]
+        model = ["--coherence-time", "inf", "--alpha", "0", "--beta", "1"]
+        assert main([*argv, *model, "--output", str(tmp_path / "v.csv")]) == 1
+        assert "[4000.0, 16383.0]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_output_flag_exits_1(self, tmp_path, monkeypatch, capsys):
         # It used to fall back to the default path and write estimate.csv there.
         monkeypatch.setenv("FREQTRACK_OUTDIR", str(tmp_path))

@@ -1,5 +1,6 @@
 """Closed-form estimator: probe design, belief updates, estimation loop."""
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -11,6 +12,7 @@ import pytest
 from freqtrack.estimator import (
     IDEAL_MODEL,
     REFERENCE_MODEL,
+    TWO_PI,
     EstimationAborted,
     GaussianBelief,
     LikelihoodModel,
@@ -57,6 +59,17 @@ class TestLikelihoodModel:
         assert pickle.loads(pickle.dumps(model)).inv_T == model.inv_T
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.inv_T = 0.0
+
+    def test_array_constants_are_read_only_and_survive_copies(self):
+        # The array closed form reads these 0-d arrays and the mean step's two gains.
+        model = LikelihoodModel(alpha=0.1, beta=0.5, T=4e-6)
+        arrays = (model._inv_T, model._inv_T_sq, model._neg_inv_T, model._gains)
+        assert all(a.dtype == np.float64 and not a.flags.writeable for a in arrays)
+        for twin in (model, pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert twin == model and hash(twin) == hash(model) and repr(twin) == repr(model)
+            assert (twin._inv_T, twin._inv_T_sq, twin._neg_inv_T) == (2.5e5, 2.5e5**2, -2.5e5)
+            assert twin._gains.tolist() == [-TWO_PI * 0.5 / 0.9, TWO_PI * 0.5 / 1.1]
+        assert str(LikelihoodModel(0.0, 1.0, math.inf)._neg_inv_T) == "-0.0"
 
 
 VALUE_TYPES = [

@@ -320,6 +320,16 @@ class TestGaussianValiditySweep:
         with pytest.raises(ValueError):
             gaussian_validity_sweep(GaussianBelief(0.0, 1e6), REFERENCE_MODEL, [0.0])
 
+    def test_rejects_a_tau_with_fewer_than_4_grid_points_per_fringe_period(self):
+        # The 16384-point grid spans 16 sigma; at T = inf, tau_opt = 1/(2 pi sigma), so
+        # spacing * tau = 1/4 falls at a multiplier of 16383 pi / 32 = 1608.4.
+        prior = GaussianBelief(0.0, 1e6)
+        for mult in (1609.0, 4000.0, math.nan):
+            with pytest.raises(ValueError, match="4 grid points"):
+                gaussian_validity_sweep(prior, IDEAL_MODEL, [1.0, mult])
+        rows = gaussian_validity_sweep(prior, IDEAL_MODEL, [1608.0])
+        assert len(rows) == 2
+
 
 class TestClosedLoopTrack:
     def test_zero_noise_arms_agree(self):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freqtrack import oracle
@@ -20,6 +20,7 @@ from freqtrack.estimator import (
     _posterior_moments,
     _posterior_moments_vec,
     design_probe,
+    likelihood_probability,
     optimal_detuning,
     optimal_tau,
     run_estimation,
@@ -67,7 +68,7 @@ def test_step_matches_oracle_moments(model, mu, sigma, mult, m):
 )
 def test_array_form_matches_scalar_form(model, rows):
     mu, sigma, mult, m = (np.array(column) for column in zip(*rows))
-    tau = mult * _optimal_tau_vec(sigma**2, model.inv_T)
+    tau = mult * _optimal_tau_vec(sigma**2, model)
     mu_v, var_v = _posterior_moments_vec(mu, sigma**2, tau, m == 1, model)
     sigma_v = np.sqrt(var_v)
     for i, (mu_i, sigma_i, mult_i, m_i) in enumerate(rows):
@@ -92,7 +93,11 @@ def test_impossible_variance_raises_in_both_forms(beta):
     # No valid model gets here, so a duck-typed one outside LikelihoodModel's
     # checks stands in for a numerical fault: beta = 3 drives the variance
     # negative, beta = nan makes it nan.
-    model = SimpleNamespace(alpha=0.0, beta=beta, inv_T=0.0)
+    # The array form also reads the model's -1/T and its two gains 2 pi m beta / (1 + m alpha).
+    gains = np.array([-TWO_PI * beta, TWO_PI * beta])
+    model = SimpleNamespace(
+        alpha=0.0, beta=beta, inv_T=0.0, _neg_inv_T=np.array(-0.0), _gains=gains
+    )
     sigma = 1e6
     tau = 1.0 / (TWO_PI * sigma)  # x = 2 pi sigma tau = 1, the largest reduction
     with pytest.raises(NumericalConsistencyError):
@@ -118,7 +123,7 @@ def test_carried_variance_matches_run_estimation(model, mu_in_sigmas, sigma, seq
     # against the scalar controller loop on the same outcomes.
     mu_v, var_v = np.array([mu_in_sigmas * sigma]), np.array([sigma**2])
     for m in seq:
-        tau = _optimal_tau_vec(var_v, model.inv_T)
+        tau = _optimal_tau_vec(var_v, model)
         mu_v, var_v = _posterior_moments_vec(mu_v, var_v, tau, np.array([m == 1]), model)
     replay = iter(seq)
     prior = GaussianBelief(mu_in_sigmas * sigma, sigma)
@@ -126,6 +131,28 @@ def test_carried_variance_matches_run_estimation(model, mu_in_sigmas, sigma, seq
     tol = 1e-12 * final.sigma
     assert abs(mu_v[0] - final.mu) <= tol
     assert abs(math.sqrt(var_v[0]) - final.sigma) <= tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(models(), edge_models()),
+    st.one_of(models(), edge_models()),
+    mus,
+    sigmas,
+    st.floats(-5.0, 5.0),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_lockstep_outcome_is_u_below_the_truth_models_p_plus(truth, update_model, mu, sigma, k, u):
+    # The loop tests the sine form beta e^(-tau/T) sin(2 pi (mu - eps) tau) < 1 + alpha - 2u;
+    # it must be the same event as u < P(+1) at the probe design_probe builds.
+    eps = mu + k * sigma
+    probe = design_probe(GaussianBelief(mu, sigma), update_model)
+    p_plus = likelihood_probability(+1, eps, probe, truth)
+    assume(abs(u - p_plus) > 1e-12)
+    mu_next, _, _ = _lockstep(
+        np.array([mu]), np.array([sigma]), np.array([eps]), np.array([[u]]), truth, update_model
+    )
+    assert (mu_next[0] > mu) == (u < p_plus)
 
 
 IDEAL_SHRINK = math.sqrt(1.0 - math.exp(-1.0))  # per-shot sigma ratio, ideal model
@@ -158,9 +185,9 @@ def test_lockstep_raises_on_the_same_shot_counts_as_run_estimation(n, ulps, sign
 
 
 def test_array_form_rejects_non_boolean_outcomes():
-    # np.where would read an outcome of -1 as true.
+    # A take would read an outcome of -1 as the gain of +1.
     var = np.full(2, 1e12)
-    tau = _optimal_tau_vec(var, 0.0)
+    tau = _optimal_tau_vec(var, IDEAL_MODEL)
     with pytest.raises(TypeError, match="boolean"):
         _posterior_moments_vec(np.zeros(2), var, tau, np.array([1, -1]), IDEAL_MODEL)
 

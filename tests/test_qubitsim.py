@@ -85,6 +85,12 @@ class TestNoiseProcess:
             samples[i] = state.eps_true
         assert samples.var() == pytest.approx(1.0, rel=0.05)
 
+    @pytest.mark.parametrize("kind", ["quasistatic", "ou_drift", "one_over_f"])
+    def test_decay_is_exp_of_minus_rate_dt(self, kind):
+        # decay reads the negated rates set once; the factors must be the same doubles.
+        proc, dt = NoiseProcess(kind=kind), np.linspace(3.5e-6, 2e-3, 20)[:, None]
+        np.testing.assert_array_equal(proc.decay(dt), np.exp(-proc.rates * dt))
+
     @pytest.mark.parametrize("kind", ["ou_drift", "one_over_f"])
     def test_batch_transition_matches_step_noise(self, kind):
         # The lockstep campaign steps many banks at once; each row must be
