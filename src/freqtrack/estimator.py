@@ -98,6 +98,9 @@ class LikelihoodModel:
         for name, value in zip(names, (inv_T, *_arrays(inv_T, inv_T**2, -inv_T, gains))):
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):  # copies rerun __post_init__, so their arrays stay read-only
+        return type(self), (self.alpha, self.beta, self.T)
+
 
 #: Reference SPAM/dephasing values for the transmon this model was fit to.
 REFERENCE_MODEL = LikelihoodModel(alpha=-0.02, beta=0.6, T=10e-6)
@@ -166,7 +169,7 @@ def optimal_detuning(mu: float, tau: float) -> float:
 def design_probe(belief: GaussianBelief, model: LikelihoodModel) -> ProbeSettings:
     """Greedy-optimal probe for the current belief."""
     tau = _optimal_tau(belief.sigma, model.inv_T)
-    return ProbeSettings(tau, optimal_detuning(belief.mu, tau))
+    return ProbeSettings(tau, 0.25 / tau + belief.mu)  # optimal_detuning, tau > 0 already
 
 
 def _posterior_moments(
@@ -282,21 +285,21 @@ def run_estimation(
 ) -> tuple[GaussianBelief, list[StepRecord]]:
     """Run the adaptive binary-search loop for n_shots probing cycles.
 
-    Each cycle recomputes (tau, delta_f) from the current belief, obtains an
-    outcome from `measure`, and applies the closed-form update.  Returns the
-    final belief and the full per-step trace.
+    Each cycle recomputes (tau, delta_f) from the current (mu, sigma), carried
+    as floats, obtains an outcome from `measure`, and applies the closed-form
+    update.  Returns the final belief and the full per-step trace.
     """
     if n_shots < 0:
         raise ValueError(f"n_shots must be >= 0, got {n_shots}")
-    belief = prior
+    mu, sigma, inv_T = prior.mu, prior.sigma, model.inv_T  # _posterior_moments keeps them valid
     trace: list[StepRecord] = []
     for step in range(n_shots):
-        probe = design_probe(belief, model)
+        tau = _optimal_tau(sigma, inv_T)
+        probe = ProbeSettings(tau, 0.25 / tau + mu)
         try:
             m = _validate_outcome(measure(probe))
         except Exception as exc:
-            raise EstimationAborted(belief, trace, exc) from exc
-        mu, sigma = _posterior_moments(belief.mu, belief.sigma, probe.tau, m, model)
-        belief = GaussianBelief(mu, sigma)
-        trace.append(StepRecord(step, probe.tau, probe.delta_f, m, mu, sigma))
-    return belief, trace
+            raise EstimationAborted(GaussianBelief(mu, sigma), trace, exc) from exc
+        mu, sigma = _posterior_moments(mu, sigma, tau, m, model)
+        trace.append(StepRecord(step, tau, probe.delta_f, m, mu, sigma))
+    return GaussianBelief(mu, sigma), trace

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import LikelihoodModel, ProbeSettings, likelihood_probability
+from .estimator import LikelihoodModel, ProbeSettings, _arrays, likelihood_probability
 
 #: Readout and resonator-depletion overheads per probing cycle [s].
 READOUT_TIME = 1.44e-6
@@ -83,7 +83,9 @@ class NoiseProcess:
                 raise ValueError("one_over_f needs >= 3 OU components")
             if not 0.0 < self.band[0] < self.band[1]:
                 raise ValueError(f"invalid band {self.band}")
-        object.__setattr__(self, "_neg_rates", -self.rates)  # decay's operand, negated once
+        consts = _arrays(-self.rates, 1.0, self.component_variance)  # decay's, transition's operands
+        for name, value in zip(("_neg_rates", "_one", "_component_variance"), consts):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -113,7 +115,7 @@ class NoiseProcess:
         that keeps it stationary; decay = 0 draws a stationary state.  Works
         elementwise, so a batch of banks can step in lockstep.
         """
-        return components * decay + np.sqrt(self.component_variance * (1.0 - decay**2)) * z
+        return components * decay + np.sqrt(self._component_variance * (self._one - decay**2)) * z
 
 
 @dataclass(frozen=True)

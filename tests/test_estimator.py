@@ -63,10 +63,10 @@ class TestLikelihoodModel:
     def test_array_constants_are_read_only_and_survive_copies(self):
         # The array closed form reads these 0-d arrays and the mean step's two gains.
         model = LikelihoodModel(alpha=0.1, beta=0.5, T=4e-6)
-        arrays = (model._inv_T, model._inv_T_sq, model._neg_inv_T, model._gains)
-        assert all(a.dtype == np.float64 and not a.flags.writeable for a in arrays)
         for twin in (model, pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
             assert twin == model and hash(twin) == hash(model) and repr(twin) == repr(model)
+            arrays = (twin._inv_T, twin._inv_T_sq, twin._neg_inv_T, twin._gains)
+            assert all(a.dtype == np.float64 and not a.flags.writeable for a in arrays)
             assert (twin._inv_T, twin._inv_T_sq, twin._neg_inv_T) == (2.5e5, 2.5e5**2, -2.5e5)
             assert twin._gains.tolist() == [-TWO_PI * 0.5 / 0.9, TWO_PI * 0.5 / 1.1]
         assert str(LikelihoodModel(0.0, 1.0, math.inf)._neg_inv_T) == "-0.0"
@@ -341,6 +341,38 @@ class TestRunEstimation:
             run_estimation(GaussianBelief(0.0, 1e6), 10, REFERENCE_MODEL, flaky)
         assert len(err.value.trace) == 3
         assert isinstance(err.value.__cause__, ConnectionError)
+
+    @pytest.mark.parametrize("fail_at", [0, 1, 7])
+    def test_abort_carries_the_belief_of_the_last_step(self, fail_at):
+        prior, probes = GaussianBelief(2e4, 1e6), []
+
+        def flaky(probe):
+            if len(probes) == fail_at:
+                raise TimeoutError("no outcome")
+            probes.append(probe)
+            return 1 if len(probes) % 3 else -1
+
+        with pytest.raises(EstimationAborted) as err:
+            run_estimation(prior, 10, REFERENCE_MODEL, flaky)
+        trace = err.value.trace
+        assert len(trace) == fail_at and isinstance(err.value.__cause__, TimeoutError)
+        expected = GaussianBelief(trace[-1].mu, trace[-1].sigma) if trace else prior
+        assert err.value.belief == expected
+
+    @pytest.mark.parametrize("outcome", [0, 2, None])
+    def test_invalid_outcome_aborts_with_a_value_error(self, outcome):
+        with pytest.raises(EstimationAborted) as err:
+            run_estimation(GaussianBelief(0.0, 1e6), 5, REFERENCE_MODEL, lambda probe: outcome)
+        assert isinstance(err.value.__cause__, ValueError)
+        assert err.value.trace == [] and err.value.belief == GaussianBelief(0.0, 1e6)
+
+    def test_a_completed_run_measures_once_per_shot(self):
+        probes = []
+        _, trace = run_estimation(
+            GaussianBelief(0.0, 1e6), 12, REFERENCE_MODEL, lambda probe: probes.append(probe) or -1
+        )
+        assert len(probes) == len(trace) == 12
+        assert [(p.tau, p.delta_f) for p in probes] == [(r.tau, r.delta_f) for r in trace]
 
     def test_negative_shot_count_rejected(self):
         with pytest.raises(ValueError):

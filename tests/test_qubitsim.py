@@ -91,6 +91,23 @@ class TestNoiseProcess:
         proc, dt = NoiseProcess(kind=kind), np.linspace(3.5e-6, 2e-3, 20)[:, None]
         np.testing.assert_array_equal(proc.decay(dt), np.exp(-proc.rates * dt))
 
+    @pytest.mark.parametrize("kind", ["quasistatic", "ou_drift", "one_over_f"])
+    def test_transition_reads_read_only_constants_and_keeps_its_doubles(self, kind):
+        # transition's operands are 0-d arrays set once; the public variance stays a float.
+        proc = NoiseProcess(kind=kind)
+        consts = (proc._neg_rates, proc._one, proc._component_variance)
+        assert all(a.dtype == np.float64 and not a.flags.writeable for a in consts)
+        assert proc._one.shape == proc._component_variance.shape == ()
+        assert type(proc.component_variance) is float
+        rng = np.random.default_rng(5)
+        comp, z = rng.normal(0.0, 2e4, (20, proc.rates.size)), rng.standard_normal((20, proc.rates.size))
+        decay = proc.decay(np.linspace(3.5e-6, 2e-3, 20)[:, None])
+        expected = comp * decay + np.sqrt(proc.component_variance * (1.0 - decay**2)) * z
+        np.testing.assert_array_equal(proc.transition(comp, decay, z), expected)
+        np.testing.assert_array_equal(
+            proc.transition(0.0, 0.0, z), np.sqrt(proc.component_variance * 1.0) * z
+        )
+
     @pytest.mark.parametrize("kind", ["ou_drift", "one_over_f"])
     def test_batch_transition_matches_step_noise(self, kind):
         # The lockstep campaign steps many banks at once; each row must be
