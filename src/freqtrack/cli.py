@@ -222,8 +222,7 @@ def _files(scenario: Scenario, columns: list[str], rows: list[list], summary: di
     if scenario.format == "csv":
         header = json.dumps(scenario.header_dict(), sort_keys=True)
         lines = [f"# freqtrack {__version__}", f"# scenario {header}", ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        lines += [",".join(map(str, row)) for row in rows]
         files = [(path, "\n".join(lines) + "\n")]
     else:
         files = [(path, _json_text({**head, "columns": columns, "rows": rows}))]
@@ -388,30 +387,31 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="freqtrack",
-        description="Adaptive Bayesian qubit-frequency estimation experiments",
-    )
-    parser.add_argument("--version", action="version", version=f"freqtrack {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, schema in _SCHEMAS.items():
-        sp = sub.add_parser(command)
-        sp.add_argument("--config", help="JSON config file (flags take precedence)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--output", default=None, help="output file path")
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
-        for key, (kind, default, _) in schema.items():
-            text = f"comma-separated (default {default})" if kind is list else f"default {default}"
-            sp.add_argument("--" + key.replace("_", "-"), default=None, help=text)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command's flags or, given none, the top level that names the commands."""
+    if command is None:
+        parser = _Parser(prog="freqtrack", description="Adaptive Bayesian qubit-frequency estimation experiments")
+        parser.add_argument("--version", action="version", version=f"freqtrack {__version__}")
+        parser.add_argument("command", choices=COMMANDS, help="freqtrack <command> -h lists its flags")
+        return parser
+    parser = _Parser(prog=f"freqtrack {command}")
+    parser.add_argument("--config", help="JSON config file (flags take precedence)")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--output", help="output file path")
+    parser.add_argument("--format", choices=("csv", "json"))
+    for key, (kind, default, _) in _SCHEMAS[command].items():
+        text = f"comma-separated (default {default})" if kind is list else f"default {default}"
+        parser.add_argument("--" + key.replace("_", "-"), help=text)
     return parser
 
 
 def parse_scenario(argv: list[str]) -> Scenario:
     """Parse command-line arguments (and optional config file) into a Scenario."""
-    args = build_parser().parse_args(argv)
-    flag_values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    return resolve_scenario(args.command, flag_values, args.config)
+    if not argv or argv[0] not in _SCHEMAS:  # prints help or the version, or raises
+        build_parser().parse_args(argv)
+        raise ScenarioError(f"the command must come first, one of {COMMANDS}")
+    args = build_parser(argv[0]).parse_args(argv[1:])
+    return resolve_scenario(argv[0], vars(args), args.config)  # resolve_scenario skips "config"
 
 
 def execute(scenario: Scenario) -> int:

@@ -87,17 +87,19 @@ class NoiseProcess:
         for name, value in zip(("_neg_rates", "_one", "_component_variance"), consts):
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):  # copies rerun __post_init__, so their arrays stay read-only
+        return type(self), (self.kind, self.sigma_eps, self.correlation_time, self.octave_count, self.band)
+
     @cached_property
     def rates(self) -> np.ndarray:
-        """OU rates [1/s] of the bank's components."""
+        """OU rates [1/s] of the bank's components, read-only."""
+        rates = []
         if self.kind == OU_DRIFT:
-            return np.array([1.0 / self.correlation_time])
+            rates = [1.0 / self.correlation_time]
         if self.kind == ONE_OVER_F:
             f_low, f_high = self.band
-            return 2.0 * math.pi * np.logspace(
-                math.log10(f_low), math.log10(f_high), self.octave_count
-            )
-        return np.empty(0)
+            rates = 2.0 * math.pi * np.logspace(math.log10(f_low), math.log10(f_high), self.octave_count)
+        return _arrays(rates)[0]
 
     @cached_property
     def component_variance(self) -> float:

@@ -3,10 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from freqtrack import cli, experiments
+from freqtrack import __version__, cli, experiments
 from freqtrack.cli import (
+    COMMANDS,
+    Scenario,
     ScenarioError,
     main,
     parse_scenario,
@@ -109,6 +112,58 @@ class TestScenarioResolution:
         monkeypatch.setenv("FREQTRACK_OUTDIR", str(tmp_path))
         s = parse_scenario(["estimate"])
         assert s.output_path == str(tmp_path / "estimate.csv")
+
+
+class TestCommandLineSurface:
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"freqtrack {__version__}\n"
+
+    def test_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in COMMANDS)
+
+    def test_command_help_lists_its_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: freqtrack estimate ") and "--sigma0" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["frobnicate"], ["estim"], ["--seed", "0", "estimate"], ["--", "estimate"]],
+    )
+    def test_no_command_first_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("freqtrack: ")
+
+    @pytest.mark.parametrize("flag", [["--runs", "5"], ["--version"]])
+    def test_flag_of_another_parser_exits_1(self, flag, capsys):
+        assert main(["estimate", *flag]) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--sigma0=2e6"], ["--sigma", "2e6"]])
+    def test_joined_value_and_unique_prefix_parse(self, argv):
+        assert parse_scenario(["estimate", *argv]).params["sigma0"] == 2e6
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_command_builds_only_its_own_parser(self, command, monkeypatch):
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.prog)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        parse_scenario([command, "--seed", "3"])
+        assert built == [f"freqtrack {command}"]
 
 
 class TestExitCodes:
@@ -389,6 +444,11 @@ class TestCsvCells:
         assert main([*argv, "--output", str(out)]) == 0
         cells = [cell for line in out.read_text().splitlines()[3:] for cell in line.split(",")]
         assert cells and all(math.isfinite(float(cell)) for cell in cells)
+
+    def test_numpy_float_cell_is_written_as_a_number(self):
+        scenario = Scenario("estimate", {}, 0, "out.csv", "csv")
+        [(_, text)] = cli._files(scenario, ["a", "b", "c", "d"], [[np.float64(0.1), 0.1, 2, 1e-300]], None)
+        assert text.splitlines()[3] == "0.1,0.1,2,1e-300"
 
 
 class TestOtherCommands:

@@ -1,7 +1,9 @@
 """Simulated measurement source: outcome statistics, noise processes, determinism."""
 
 import ast
+import copy
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +109,19 @@ class TestNoiseProcess:
         np.testing.assert_array_equal(
             proc.transition(0.0, 0.0, z), np.sqrt(proc.component_variance * 1.0) * z
         )
+
+    @pytest.mark.parametrize("kind", ["quasistatic", "ou_drift", "one_over_f"])
+    def test_arrays_stay_read_only_in_copies(self, kind):
+        proc = NoiseProcess(kind=kind)
+        rng = np.random.default_rng(6)
+        comp, z = rng.normal(0.0, 2e4, (20, proc.rates.size)), rng.standard_normal((20, proc.rates.size))
+        decay = proc.decay(np.linspace(3.5e-6, 2e-3, 20)[:, None])
+        for twin in (proc, pickle.loads(pickle.dumps(proc)), copy.deepcopy(proc)):
+            assert twin == proc and twin.component_variance == proc.component_variance
+            arrays = (twin.rates, twin._neg_rates, twin._one, twin._component_variance)
+            assert all(a.dtype == np.float64 and not a.flags.writeable for a in arrays)
+            np.testing.assert_array_equal(twin.rates, proc.rates)
+            np.testing.assert_array_equal(twin.transition(comp, decay, z), proc.transition(comp, decay, z))
 
     @pytest.mark.parametrize("kind", ["ou_drift", "one_over_f"])
     def test_batch_transition_matches_step_noise(self, kind):
