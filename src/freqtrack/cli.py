@@ -29,9 +29,6 @@ from .qubitsim import NoiseProcess, rng_for_run, sample_outcome, standard_normal
 
 OUTDIR_ENV = "FREQTRACK_OUTDIR"
 
-COMMANDS = ("estimate", "campaign", "validate-gaussian", "track", "compare-frequentist")
-
-
 class ScenarioError(ValueError):
     """Invalid or inconsistent scenario configuration."""
 
@@ -105,20 +102,39 @@ _SCHEMAS: dict[str, dict] = {
         "coherence_time": (float, math.inf, _POSITIVE),
     },
 }
+COMMANDS = tuple(_SCHEMAS)
 
 
-def _coerce(name: str, kind, value):
+def _param(key: str, spec: tuple, value):
+    """value coerced to the key's kind and checked against its schema bound."""
+    kind, default, bound = spec
+    if value is None and default is None:  # null stands for a default of None only (eps_true)
+        return None
     try:
         # Flags arrive as strings; a config file must give an integer as a JSON integer.
         if kind is int and not isinstance(value, str) and type(value) is not int:
             raise TypeError
-        if kind is list:
-            if isinstance(value, str):
-                value = [float(v) for v in value.split(",") if v]
-            return [float(v) for v in value]
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"parameter '{name}': cannot interpret {value!r} as {kind.__name__}")
+        if kind is list and isinstance(value, str):
+            value = [float(v) for v in value.split(",") if v]
+        elif kind is list:
+            value = [float(v) for v in value]
+        else:
+            value = kind(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"parameter '{key}': cannot interpret {value!r} as {kind.__name__}")
+    values = value if kind is list else [value]
+    if not values:
+        raise ScenarioError(f"{key} must not be empty")
+    inf_ok = key.endswith("coherence_time")
+    if kind is not int and not all(math.isfinite(v) or inf_ok and v == math.inf for v in values):
+        raise ScenarioError(f"{key} must be finite, got {value}")
+    if bound is not None:
+        low, exclusive = bound
+        if not all(v > low if exclusive else v >= low for v in values):
+            raise ScenarioError(f"{key} must be {'>' if exclusive else '>='} {low}, got {value}")
+    if key == "sigma0" and not _sigma_in_range(value):
+        raise ScenarioError(f"sigma0**4 must be finite and normal, got {value}")
+    return value
 
 
 def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -> Scenario:
@@ -126,7 +142,6 @@ def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -
     if command not in _SCHEMAS:
         raise ScenarioError(f"unknown command {command!r}; choose from {COMMANDS}")
     schema = _SCHEMAS[command]
-    params = {k: default for k, (_, default, _) in schema.items()}
 
     config: dict = {}
     if config_path:
@@ -138,41 +153,31 @@ def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -
             raise ScenarioError(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(config, dict):
             raise ScenarioError(f"config file {config_path} must hold a JSON object")
-
-    reserved = {"seed", "output", "format"}
-    for key, value in config.items():
-        if key in reserved:
-            continue
-        if key not in schema:
+    for key in config:
+        if key not in schema and key not in ("seed", "output", "format"):
             raise ScenarioError(f"unknown config key '{key}' for command '{command}'")
-        kind, default, _ = schema[key]
-        # null stands for a default of None only (estimate's eps_true: draw from the prior)
-        params[key] = None if value is None and default is None else _coerce(key, kind, value)
+    flags = {k: v for k, v in flag_values.items() if v is not None and k != "config"}
+    given = {**config, **flags}
 
-    for key, value in flag_values.items():
-        if key in schema and value is not None:
-            params[key] = _coerce(key, schema[key][0], value)
+    params = {key: _param(key, spec, given.get(key, spec[1])) for key, spec in schema.items()}
+    _model_from(params)
+    if command == "campaign":
+        _model_from(params, "truth_")
 
-    seed = flag_values.get("seed")
-    if seed is None:
-        seed = config.get("seed")
-        seed = 0 if seed is None else _coerce("seed", int, seed)
+    seed = given.get("seed")
+    seed = 0 if seed is None else _param("seed", (int, 0, None), seed)
     if not 0 <= seed < 2**128:  # the keys a Philox stream accepts
         raise ScenarioError(f"seed must be >= 0 and < 2**128, got {seed}")
-    fmt = next(f for f in (flag_values.get("format"), config.get("format"), "csv") if f is not None)
+    fmt = given.get("format")
+    fmt = "csv" if fmt is None else fmt
     if fmt not in ("csv", "json"):
         raise ScenarioError(f"format must be 'csv' or 'json', got {fmt!r}")
-
-    output = flag_values.get("output")
-    output = config.get("output") if output is None else output
+    output = given.get("output")
     if output is None:
-        outdir = os.environ.get(OUTDIR_ENV, ".")
-        output = str(Path(outdir) / f"{command}.{fmt}")
+        output = str(Path(os.environ.get(OUTDIR_ENV, ".")) / f"{command}.{fmt}")
     elif not isinstance(output, str) or not output:
         raise ScenarioError(f"output must be a non-empty path, got {output!r}")
-
-    _validate_params(command, params)
-    return Scenario(command, params, int(seed), output, fmt)
+    return Scenario(command, params, seed, output, fmt)
 
 
 def _model_from(params: dict, prefix: str = "") -> LikelihoodModel:
@@ -184,30 +189,6 @@ def _model_from(params: dict, prefix: str = "") -> LikelihoodModel:
         )
     except ValueError as exc:
         raise ScenarioError(str(exc))
-
-
-def _validate_params(command: str, params: dict) -> None:
-    """Check every parameter against its schema bound, then the models' own constraints."""
-    for key, (kind, _, bound) in _SCHEMAS[command].items():
-        value = params[key]
-        values = value if kind is list else [value]
-        if not values:
-            raise ScenarioError(f"{key} must not be empty")
-        inf_ok = key.endswith("coherence_time")
-        if kind is not int and value is not None and not all(
-            math.isfinite(v) or inf_ok and v == math.inf for v in values
-        ):
-            raise ScenarioError(f"{key} must be finite, got {value}")
-        if bound is None:
-            continue
-        low, exclusive = bound
-        if not all(v > low if exclusive else v >= low for v in values):
-            raise ScenarioError(f"{key} must be {'>' if exclusive else '>='} {low}, got {value}")
-        if key == "sigma0" and not _sigma_in_range(value):
-            raise ScenarioError(f"sigma0**4 must be finite and normal, got {value}")
-    _model_from(params)
-    if command == "campaign":
-        _model_from(params, "truth_")
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +338,12 @@ def _run_track(scenario: Scenario) -> tuple[list[str], list[list], dict | None]:
 
 def _run_compare_frequentist(scenario: Scenario) -> tuple[list[str], list[list], dict | None]:
     p = scenario.params
-    rows = experiments.compare_frequentist(
-        p["sigma0"], p["shots"], p["runs"], p["tau_multipliers"], _model_from(p), scenario.seed
-    )
+    try:
+        rows = experiments.compare_frequentist(
+            p["sigma0"], p["shots"], p["runs"], p["tau_multipliers"], _model_from(p), scenario.seed
+        )
+    except ValueError as exc:  # a tau at which the fixed-tau estimate has no slope to invert
+        raise ScenarioError(str(exc))
     return (
         ["tau_multiplier", "tau_s", "fbs_median_abs_error_hz", "frequentist_median_abs_error_hz"],
         [list(row) for row in rows],

@@ -216,11 +216,10 @@ def _posterior_moments_vec(
     is the scalar form's reduction factor for factor.  Its own function, not
     a type branch in one kernel: on the per-shot float path the dispatch
     costs more than it saves.  It agrees with the scalar form to rounding.
+    At beta = 0 both gains are +-0, so the moments keep their values.
     """
     if up.dtype != np.bool_:  # a take would read an outcome of -1 as the gain of +1
         raise TypeError(f"up must be a boolean array, got dtype {up.dtype}")
-    if model.beta == 0.0:
-        return mu, var
     damp = np.exp(tau * model._neg_inv_T - _HALF_TWO_PI_SQ_A * var * tau**2)
     step = model._gains.take(up) * var * tau * damp
     var_next = var - step * step

@@ -436,6 +436,7 @@ def frequentist_estimate(
     The probe sits at delta_f = 1/(4 tau) (inflection at zero shift), so
     E[m] ~= alpha + 2 pi beta tau e^(-tau/T) eps for small shifts.  The
     estimate is clamped to the unambiguous range (-1/(2 tau), +1/(2 tau)].
+    A slope that is not positive raises ValueError.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -446,10 +447,12 @@ def _frequentist_estimates(eps, tau: float, u: np.ndarray, model: LikelihoodMode
     """frequentist_estimate of each shift in eps, shot s measuring +1 where u[s] < P(+1)."""
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
+    slope = TWO_PI * model.beta * tau * math.exp(-tau * model.inv_T)
+    if not slope > 0.0:  # beta = 0, or e^(-tau/T) underflows: the outcomes carry no shift
+        raise ValueError(f"fixed-tau slope 2 pi beta tau e^(-tau/T) is {slope} at tau={tau}")
     shots = u.shape[0]
     p_plus = likelihood_probability(+1, eps, ProbeSettings(tau, 0.25 / tau), model)
     m_bar = (2 * np.count_nonzero(u < p_plus, axis=0) - shots) / shots
-    slope = TWO_PI * model.beta * tau * math.exp(-tau * model.inv_T)
     half_range = 0.5 / tau
     return np.clip((m_bar - model.alpha) / slope, -half_range, half_range)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +61,10 @@ class NoiseProcess:
 
     A drifting shift is the sum of a bank of OU components of equal variance:
     one at rate 1/correlation_time for ou_drift, octave_count at log-spaced
-    rates over the band for one_over_f.  A quasistatic shift has none.
+    rates over the band for one_over_f.  A quasistatic shift has none.  The
+    bank is set once: rates [1/s], a read-only array, and component_variance
+    [Hz^2], the float stationary variance of each component, which together
+    give sigma_eps^2.
     """
 
     kind: str = QUASISTATIC
@@ -83,28 +85,21 @@ class NoiseProcess:
                 raise ValueError("one_over_f needs >= 3 OU components")
             if not 0.0 < self.band[0] < self.band[1]:
                 raise ValueError(f"invalid band {self.band}")
-        consts = _arrays(-self.rates, 1.0, self.component_variance)  # decay's, transition's operands
-        for name, value in zip(("_neg_rates", "_one", "_component_variance"), consts):
-            object.__setattr__(self, name, value)
-
-    def __reduce__(self):  # copies rerun __post_init__, so their arrays stay read-only
-        return type(self), (self.kind, self.sigma_eps, self.correlation_time, self.octave_count, self.band)
-
-    @cached_property
-    def rates(self) -> np.ndarray:
-        """OU rates [1/s] of the bank's components, read-only."""
         rates = []
         if self.kind == OU_DRIFT:
             rates = [1.0 / self.correlation_time]
         if self.kind == ONE_OVER_F:
             f_low, f_high = self.band
             rates = 2.0 * math.pi * np.logspace(math.log10(f_low), math.log10(f_high), self.octave_count)
-        return _arrays(rates)[0]
+        rates = _arrays(rates)[0]
+        component_variance = self.sigma_eps**2 / max(rates.size, 1)
+        consts = _arrays(-rates, 1.0, component_variance)  # decay's, transition's operands
+        names = ("rates", "component_variance", "_neg_rates", "_one", "_component_variance")
+        for name, value in zip(names, (rates, component_variance, *consts)):
+            object.__setattr__(self, name, value)
 
-    @cached_property
-    def component_variance(self) -> float:
-        """Stationary variance of each component [Hz^2]; together they give sigma_eps^2."""
-        return self.sigma_eps**2 / max(self.rates.size, 1)
+    def __reduce__(self):  # copies rerun __post_init__, so their arrays stay read-only
+        return type(self), (self.kind, self.sigma_eps, self.correlation_time, self.octave_count, self.band)
 
     def decay(self, dt) -> np.ndarray:
         """Factor exp(-rate dt) by which each component relaxes over dt."""

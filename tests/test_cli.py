@@ -37,6 +37,47 @@ class TestScenarioResolution:
         assert s.params["sigma0"] == 5e5  # config beats default
         assert s.seed == 9
 
+    @pytest.mark.parametrize(
+        "key, flag_value, config_value, default",
+        [
+            ("seed", 5, 9, 0),
+            ("format", "csv", "json", "csv"),
+            ("output", "flag.csv", "config.csv", "estimate.csv"),  # default: under the outdir
+            ("sigma0", 2e5, 5e5, 1e6),
+        ],
+    )
+    def test_flag_beats_config_beats_default(
+        self, key, flag_value, config_value, default, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("FREQTRACK_OUTDIR", str(tmp_path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: config_value}))
+
+        def resolved(*argv):
+            s = parse_scenario(["estimate", *argv])
+            return {"seed": s.seed, "format": s.format, "output": s.output_path, **s.params}[key]
+
+        flag = ["--" + key, str(flag_value)]
+        assert resolved(*flag, "--config", str(cfg)) == flag_value
+        assert resolved("--config", str(cfg)) == config_value
+        expected = str(tmp_path / default) if key == "output" else default
+        assert resolved() == expected
+
+    @pytest.mark.parametrize("config", [{"n": 2.5}, {"seed": 1.5}])
+    def test_a_flag_replaces_the_config_value_unread(self, config, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        s = parse_scenario(["estimate", "--config", str(cfg), "--n", "3", "--seed", "4"])
+        assert (s.params["n"], s.seed) == (3, 4)
+
+    def test_null_config_seed_resolves_to_0(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": None}))
+        assert parse_scenario(["estimate", "--config", str(cfg)]).seed == 0
+
+    def test_each_command_is_declared_once(self):
+        assert COMMANDS == tuple(cli._SCHEMAS) == tuple(cli._RUNNERS)
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bananas": 1}))
@@ -258,6 +299,22 @@ class TestExitCodes:
         model = ["--coherence-time", "inf", "--alpha", "0", "--beta", "1"]
         assert main([*argv, *model, "--output", str(tmp_path / "v.csv")]) == 1
         assert "[4000.0, 16383.0]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--beta", "0", "--runs", "20"],
+            # e^(-tau/T) underflows at x10000
+            ["--alpha", "-0.02", "--beta", "0.6", "--coherence-time", "1e-6"]
+            + ["--tau-multipliers", "1,10000"],
+        ],
+        ids=["beta_0", "underflow"],
+    )
+    def test_compare_frequentist_without_slope_exits_1(self, argv, tmp_path, capsys):
+        # These used to exit 0 after a divide-by-zero warning, with clipped or NaN errors.
+        assert main(["compare-frequentist", *argv, "--output", str(tmp_path / "c.csv")]) == 1
+        assert "slope" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_output_flag_exits_1(self, tmp_path, monkeypatch, capsys):

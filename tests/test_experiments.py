@@ -496,6 +496,19 @@ class TestFrequentistBaseline:
         with pytest.raises(ValueError):
             frequentist_estimate(0.0, 1e-7, 0, REFERENCE_MODEL, rng)
 
+    @pytest.mark.parametrize(
+        "model, tau",
+        [
+            (LikelihoodModel(alpha=0.0, beta=0.0, T=math.inf), 1e-7),
+            # e^(-tau/T) underflows to 0
+            (LikelihoodModel(alpha=-0.02, beta=0.6, T=1e-6), 1.5e-3),
+        ],
+    )
+    def test_no_slope_to_invert_raises(self, model, tau):
+        # It used to divide by zero with a warning and return the clipped +-1/(2 tau) or NaN.
+        with pytest.raises(ValueError, match="slope"):
+            frequentist_estimate(0.0, tau, 10, model, np.random.default_rng(12))
+
 
 class TestCompareFrequentist:
     def test_run_i_is_row_i_of_the_block(self):

@@ -79,12 +79,13 @@ class TestNoiseProcess:
     def test_ou_stationary_variance(self):
         proc = NoiseProcess(kind="ou_drift", sigma_eps=1.0, correlation_time=1e-3)
         rng = np.random.default_rng(4)
-        # steps of 3 correlation times are effectively independent draws
-        state = initial_state(proc, rng)
-        samples = np.empty(100_000)
-        for i in range(samples.size):
-            state = step_noise(proc, state, 3e-3, rng)
-            samples[i] = state.eps_true
+        # 1000 banks in lockstep; steps of 3 correlation times are effectively independent draws
+        banks, steps, decay = 1000, 100, proc.decay(3e-3)
+        comp = proc.transition(0.0, 0.0, rng.standard_normal((banks, proc.rates.size)))
+        samples = np.empty((steps, banks))
+        for s in range(steps):
+            comp = proc.transition(comp, decay, rng.standard_normal((banks, proc.rates.size)))
+            samples[s] = comp.sum(axis=1)
         assert samples.var() == pytest.approx(1.0, rel=0.05)
 
     @pytest.mark.parametrize("kind", ["quasistatic", "ou_drift", "one_over_f"])
