@@ -35,16 +35,18 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully resolved run configuration for one subcommand."""
+    """Fully resolved run configuration for one subcommand, with its checked models."""
 
     command: str
     params: dict
     seed: int
     output_path: str
     format: str
+    model: LikelihoodModel
+    truth_model: LikelihoodModel | None  # campaign's outcome-generating model; None elsewhere
 
-    def header_dict(self) -> dict:  # every field but the output path
-        return {k: v for k, v in vars(self).items() if k != "output_path"}
+    def header_dict(self) -> dict:  # what each output header records
+        return {key: getattr(self, key) for key in ("command", "params", "seed", "format")}
 
 
 # Per-command parameter schema: name -> (type, default, lower bound).  A bound
@@ -111,8 +113,7 @@ def _param(key: str, spec: tuple, value):
     if value is None and default is None:  # null stands for a default of None only (eps_true)
         return None
     try:
-        # Flags arrive as strings; a config file must give an integer as a JSON integer.
-        if kind is int and not isinstance(value, str) and type(value) is not int:
+        if kind is int and type(value) is not int:  # a JSON integer, or a flag argparse parsed
             raise TypeError
         if kind is list and isinstance(value, str):
             value = [float(v) for v in value.split(",") if v]
@@ -160,9 +161,8 @@ def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -
     given = {**config, **flags}
 
     params = {key: _param(key, spec, given.get(key, spec[1])) for key, spec in schema.items()}
-    _model_from(params)
-    if command == "campaign":
-        _model_from(params, "truth_")
+    model = _model_from(params)
+    truth_model = _model_from(params, "truth_") if command == "campaign" else None
 
     seed = given.get("seed")
     seed = 0 if seed is None else _param("seed", (int, 0, None), seed)
@@ -177,7 +177,7 @@ def resolve_scenario(command: str, flag_values: dict, config_path: str | None) -
         output = str(Path(os.environ.get(OUTDIR_ENV, ".")) / f"{command}.{fmt}")
     elif not isinstance(output, str) or not output:
         raise ScenarioError(f"output must be a non-empty path, got {output!r}")
-    return Scenario(command, params, seed, output, fmt)
+    return Scenario(command, params, seed, output, fmt, model, truth_model)
 
 
 def _model_from(params: dict, prefix: str = "") -> LikelihoodModel:
@@ -236,25 +236,13 @@ def _write_files(files: list[tuple[Path, str]]) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def read_header(path: str) -> dict:
-    """Recover the scenario header from an output file."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return json.loads(text)["scenario"]
-    for line in text.splitlines():
-        if line.startswith("# scenario "):
-            return json.loads(line[len("# scenario "):])
-    raise ValueError(f"no scenario header found in {path}")
-
-
 # ---------------------------------------------------------------------------
 # Command implementations: each returns (columns, rows, summary or None)
 # ---------------------------------------------------------------------------
 
 
 def _run_estimate(scenario: Scenario) -> tuple[list[str], list[list], dict | None]:
-    p = scenario.params
-    model = _model_from(p)
+    p, model = scenario.params, scenario.model
     prior = GaussianBelief(p["mu0"], p["sigma0"])
     rng = rng_for_run(scenario.seed, 0)  # run 0 of `campaign --seed s --runs 1`
     z = float(standard_normals(rng.random(2))[0])  # drawn even for a given eps_true
@@ -272,8 +260,8 @@ def _run_campaign(scenario: Scenario) -> tuple[list[str], list[list], dict | Non
         run_count=p["runs"],
         n_shots=p["n"],
         prior=GaussianBelief(p["mu0"], p["sigma0"]),
-        truth_model=_model_from(p, "truth_"),
-        update_model=_model_from(p),
+        truth_model=scenario.truth_model,
+        update_model=scenario.model,
         master_seed=scenario.seed,
     )
     stats = experiments.run_campaign(cfg)
@@ -294,7 +282,7 @@ def _run_validate_gaussian(scenario: Scenario) -> tuple[list[str], list[list], d
     p = scenario.params
     try:
         rows = experiments.gaussian_validity_sweep(
-            GaussianBelief(p["mu0"], p["sigma0"]), _model_from(p), p["multipliers"]
+            GaussianBelief(p["mu0"], p["sigma0"]), scenario.model, p["multipliers"]
         )
     except ValueError as exc:  # a multiplier the oracle grid cannot resolve
         raise ScenarioError(str(exc))
@@ -312,7 +300,7 @@ def _run_track(scenario: Scenario) -> tuple[list[str], list[list], dict | None]:
         n_shots=p["n"],
         m_cycles=p["cycles"],
         tau_max=p["tau_max"],
-        model=_model_from(p),
+        model=scenario.model,
         seed=scenario.seed,
         repetitions=p["repetitions"],
         sigma0=p["sigma0"],
@@ -340,7 +328,7 @@ def _run_compare_frequentist(scenario: Scenario) -> tuple[list[str], list[list],
     p = scenario.params
     try:
         rows = experiments.compare_frequentist(
-            p["sigma0"], p["shots"], p["runs"], p["tau_multipliers"], _model_from(p), scenario.seed
+            p["sigma0"], p["shots"], p["runs"], p["tau_multipliers"], scenario.model, scenario.seed
         )
     except ValueError as exc:  # a tau at which the fixed-tau estimate has no slope to invert
         raise ScenarioError(str(exc))
@@ -385,7 +373,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"))
     for key, (kind, default, _) in _SCHEMAS[command].items():
         text = f"comma-separated (default {default})" if kind is list else f"default {default}"
-        parser.add_argument("--" + key.replace("_", "-"), help=text)
+        parser.add_argument("--" + key.replace("_", "-"), type=int if kind is int else None, help=text)
     return parser
 
 

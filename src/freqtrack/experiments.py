@@ -38,7 +38,6 @@ from .qubitsim import (
     standard_normals,
 )
 
-MAD_TO_SIGMA = 1.4826  # scales a median absolute deviation to a Gaussian sigma
 _TWO_PI, _READOUT, _DEPLETION = _arrays(TWO_PI, READOUT_TIME, DEPLETION_TIME)
 
 
@@ -172,22 +171,6 @@ def _campaign(cfg: CampaignConfig, extra: int = 0) -> tuple[ErrorStats, np.ndarr
 def run_campaign(cfg: CampaignConfig) -> ErrorStats:
     """Every run of the campaign; per-run RNG streams make each independent of the rest."""
     return _campaign(cfg)[0]
-
-
-def mad_calibration(stats: ErrorStats) -> tuple[float, float]:
-    """(1.4826 * MAD of errors, its ratio to the mean final posterior sigma).
-
-    The ratio is not expected to be 1: the errors are not Gaussian with the
-    reported sigma, whose belief is a Gaussian projection of a multi-lobed
-    posterior.  The value the ratio should have is that of the same campaign
-    with every update taken as the moments of the exact one-shot posterior
-    (oracle.grid_update); for the matched 5000-run, n = 15 reference campaign
-    it is 0.834.  The exact multi-shot posterior of each run predicts 0.834.
-    """
-    if stats.errors.size < 1000:
-        raise ValueError("need >= 1000 errors for a stable MAD calibration")
-    scaled = MAD_TO_SIGMA * stats.mad
-    return scaled, scaled / stats.mean_final_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +426,19 @@ def frequentist_estimate(
     return float(_frequentist_estimates(eps_true, tau, rng.random(shots), model))
 
 
-def _frequentist_estimates(eps, tau: float, u: np.ndarray, model: LikelihoodModel):
-    """frequentist_estimate of each shift in eps, shot s measuring +1 where u[s] < P(+1)."""
+def _slope(tau: float, model: LikelihoodModel) -> float:
+    """The fixed-tau estimate's slope 2 pi beta tau e^(-tau/T); ValueError unless positive."""
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     slope = TWO_PI * model.beta * tau * math.exp(-tau * model.inv_T)
     if not slope > 0.0:  # beta = 0, or e^(-tau/T) underflows: the outcomes carry no shift
         raise ValueError(f"fixed-tau slope 2 pi beta tau e^(-tau/T) is {slope} at tau={tau}")
+    return slope
+
+
+def _frequentist_estimates(eps, tau: float, u: np.ndarray, model: LikelihoodModel):
+    """frequentist_estimate of each shift in eps, shot s measuring +1 where u[s] < P(+1)."""
+    slope = _slope(tau, model)
     shots = u.shape[0]
     p_plus = likelihood_probability(+1, eps, ProbeSettings(tau, 0.25 / tau), model)
     m_bar = (2 * np.count_nonzero(u < p_plus, axis=0) - shots) / shots
@@ -478,18 +467,21 @@ def compare_frequentist(
 
     Run i estimates a shift drawn from N(0, sigma0) on stream i, once; the
     frequentist shots at each tau = multiplier * tau_opt are the `shots`
-    uniforms that follow the adaptive shots on that stream.
+    uniforms that follow the adaptive shots on that stream.  A tau without
+    slope to invert raises ValueError before any run.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     prior = GaussianBelief(0.0, sigma0)
     cfg = CampaignConfig(run_count, shots, prior, model, model, master_seed=seed)
+    tau_opt = optimal_tau(sigma0, model.T)
+    taus = [mult * tau_opt for mult in tau_multipliers]
+    for tau in taus:
+        _slope(tau, model)
     stats, u = _campaign(cfg, extra=shots)
     adaptive = float(np.median(np.abs(stats.errors)))
-    tau_opt = optimal_tau(sigma0, model.T)
     rows = []
-    for mult in tau_multipliers:
-        tau = mult * tau_opt
+    for mult, tau in zip(tau_multipliers, taus):
         est = _frequentist_estimates(stats.eps_true, tau, u, model)
         rows.append(
             ComparisonRow(mult, tau, adaptive, float(np.median(np.abs(est - stats.eps_true))))

@@ -9,11 +9,9 @@ import pytest
 from freqtrack import __version__, cli, experiments
 from freqtrack.cli import (
     COMMANDS,
-    Scenario,
     ScenarioError,
     main,
     parse_scenario,
-    read_header,
     resolve_scenario,
 )
 from freqtrack.qubitsim import sample_outcome
@@ -86,7 +84,16 @@ class TestScenarioResolution:
 
     @pytest.mark.parametrize(
         "config",
-        [{"runs": 40.9}, {"n": 2.5}, {"runs": 40.0}, {"runs": True}, {"seed": 1.5}],
+        [
+            {"runs": 40.9},
+            {"n": 2.5},
+            {"runs": 40.0},
+            {"runs": True},
+            {"seed": 1.5},
+            # a JSON string is no JSON integer, even where a flag's text would parse
+            {"runs": "40"},
+            {"seed": "7"},
+        ],
     )
     def test_non_integer_config_value_rejected(self, config, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -206,6 +213,30 @@ class TestCommandLineSurface:
         parse_scenario([command, "--seed", "3"])
         assert built == [f"freqtrack {command}"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--n", "2"],
+            ["campaign", "--runs", "3", "--n", "2"],
+            ["validate-gaussian", "--multipliers", "1"],
+            ["track", "--cycles", "10", "--repetitions", "2", "--n", "2"],
+            ["compare-frequentist", "--runs", "3", "--tau-multipliers", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_model_is_built_once(self, argv, tmp_path, monkeypatch):
+        # campaign has a truth model besides the update model; the others have one model.
+        built = []
+
+        class Counting(cli.LikelihoodModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "LikelihoodModel", Counting)
+        assert main([*argv, "--output", str(tmp_path / "o.csv")]) == 0
+        assert len(built) == (2 if argv[0] == "campaign" else 1)
+
 
 class TestExitCodes:
     def test_bad_flag_value_exits_1(self, capsys):
@@ -290,7 +321,8 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"format": None}))
         monkeypatch.setenv("FREQTRACK_OUTDIR", str(tmp_path))
         assert main(["estimate", "--n", "2", "--config", str(cfg)]) == 0
-        assert read_header(str(tmp_path / "estimate.csv"))["format"] == "csv"
+        header = (tmp_path / "estimate.csv").read_text().splitlines()[1]
+        assert json.loads(header.removeprefix("# scenario "))["format"] == "csv"
 
     def test_multiplier_the_oracle_grid_cannot_resolve_exits_1(self, tmp_path, capsys):
         # x4000 and x16383 used to exit 0 with aliased rows (n_modes 4056 and 4853 against
@@ -363,7 +395,8 @@ class TestExitCodes:
         out = tmp_path / "c.csv"
         argv = ["campaign", "--runs", "3", "--n", "2", "--seed", str(2**128 - 1)]
         assert main([*argv, "--output", str(out)]) == 0
-        assert read_header(str(out))["seed"] == 2**128 - 1
+        header = out.read_text().splitlines()[1]
+        assert json.loads(header.removeprefix("# scenario "))["seed"] == 2**128 - 1
 
     def test_failed_fit_writes_nothing(self, tmp_path, monkeypatch, capsys):
         # Every result is computed before the first file is written.
@@ -398,7 +431,8 @@ class TestEstimateOutput:
         assert lines[2] == "step,tau_s,delta_f_hz,outcome,mu_hz,sigma_hz"
         assert len(lines) == 3 + 12
 
-        header = read_header(str(out))
+        header = json.loads(lines[1].removeprefix("# scenario "))
+        assert set(header) == {"command", "params", "seed", "format"}
         assert header["command"] == "estimate"
         assert header["seed"] == 5
         assert header["params"]["n"] == 12
@@ -409,7 +443,7 @@ class TestEstimateOutput:
         doc = json.loads(out.read_text())
         assert doc["columns"][0] == "step"
         assert len(doc["rows"]) == 4
-        assert read_header(str(out))["params"]["n"] == 4
+        assert doc["scenario"]["params"]["n"] == 4
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -503,7 +537,7 @@ class TestCsvCells:
         assert cells and all(math.isfinite(float(cell)) for cell in cells)
 
     def test_numpy_float_cell_is_written_as_a_number(self):
-        scenario = Scenario("estimate", {}, 0, "out.csv", "csv")
+        scenario = parse_scenario(["estimate", "--output", "out.csv"])
         [(_, text)] = cli._files(scenario, ["a", "b", "c", "d"], [[np.float64(0.1), 0.1, 2, 1e-300]], None)
         assert text.splitlines()[3] == "0.1,0.1,2,1e-300"
 
@@ -548,5 +582,5 @@ class TestOtherCommands:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 3 + 2
-        header = read_header(str(out))
+        header = json.loads(lines[1].removeprefix("# scenario "))
         assert header["params"]["tau_multipliers"] == [1.0, 2.0]

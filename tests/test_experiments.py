@@ -27,7 +27,6 @@ from freqtrack.estimator import (
     update,
 )
 from freqtrack.experiments import (
-    MAD_TO_SIGMA,
     CampaignConfig,
     ErrorStats,
     FringeRecord,
@@ -36,7 +35,6 @@ from freqtrack.experiments import (
     fit_fringe,
     frequentist_estimate,
     gaussian_validity_sweep,
-    mad_calibration,
     run_campaign,
 )
 from freqtrack.qubitsim import (
@@ -107,7 +105,7 @@ class TestCampaign:
         assert stats.mean_final_sigma == pytest.approx(expected, rel=1e-9)
         # rare wrong-branch runs make the raw std heavy-tailed; the robust
         # MAD-based spread tracks the reported posterior sigma
-        assert MAD_TO_SIGMA * stats.mad == pytest.approx(expected, rel=0.15)
+        assert 1.4826 * stats.mad == pytest.approx(expected, rel=0.15)
         assert stats.outlier_fraction < 0.1
 
     def test_mismatch_inflates_outliers(self):
@@ -290,13 +288,9 @@ class TestMadCalibration:
         rng = np.random.default_rng(6)
         s = 40e3
         stats = ErrorStats(np.zeros(20000), rng.normal(0.0, s, 20000), np.full(20000, s))
-        scaled, ratio = mad_calibration(stats)
-        assert scaled == pytest.approx(s, rel=0.03)
-        assert ratio == pytest.approx(1.0, abs=0.03)
-
-    def test_requires_large_sample(self):
-        with pytest.raises(ValueError):
-            mad_calibration(ErrorStats(np.zeros(10), np.ones(10), np.ones(10)))
+        # 1.4826 * MAD is a Gaussian's sigma, here the mean final sigma
+        assert 1.4826 * stats.mad == pytest.approx(s, rel=0.03)
+        assert 1.4826 * stats.mad / stats.mean_final_sigma == pytest.approx(1.0, abs=0.03)
 
 
 class TestGaussianValiditySweep:
@@ -541,6 +535,23 @@ class TestCompareFrequentist:
             assert abs(stats.eps_true[i] - eps_true) <= tol
             assert abs(stats.eps_hat[i] - eps_hat) <= tol
             assert abs(stats.final_sigmas[i] - final_sigma) <= tol
+
+    @pytest.mark.parametrize(
+        "model, mults",
+        [
+            (LikelihoodModel(alpha=0.0, beta=0.0, T=math.inf), [1.0]),
+            # e^(-tau/T) underflows at x10000
+            (LikelihoodModel(alpha=-0.02, beta=0.6, T=1e-6), [1.0, 10000.0]),
+        ],
+        ids=["beta_0", "underflow"],
+    )
+    def test_no_slope_raises_before_the_campaign(self, model, mults, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(experiments, "_campaign", fail)
+        with pytest.raises(ValueError, match="slope"):
+            compare_frequentist(1e6, 15, 40, mults, model, seed=0)
 
     def test_multipliers_see_the_same_shots(self):
         # Each multiplier's frequentist shots start from the state the
