@@ -106,35 +106,87 @@ class ErrorStats:
         return float(np.mean(np.abs(self.errors) <= self.final_sigmas))
 
 
-def _lockstep(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None):
-    """Estimations against simulated qubits, one per array element: final (mu, sigma, shift).
+#: Deepest outcome tree, in shots: its tables hold about 6 * 2**depth doubles (768 KiB at 14).
+_TREE_DEPTH = 14
+#: The 4 trees last used, oldest first (the five commands use 3).  Not locked: the package starts
+#: no thread, and a lost update would only cost a rebuild.
+_trees: dict = {}
+
+
+def _outcome_tree(sigma0, depth, truth_model, update_model):
+    """Per-shot tuples (taus, amps, steps, var) of read-only levels of the tree from sigma0.
+
+    A run's node at shot s is its outcomes so far in binary (m = +1 is 1): level s holds the
+    tau, amplitude beta e^(-tau/T) and entering variance of its 2**s nodes, and the mean step
+    to each child 2k + (m = +1), the array form at mu = -0.0 (so mu + step is the step).  A
+    call that finds the tree adds one level, up to depth: a one-off campaign builds none.
+    """
+    sign = math.copysign(1.0, update_model.beta)  # beta = -0.0 equals 0.0, but not its zero steps
+    key = (sigma0, truth_model, update_model, sign)
+    tree = _trees.pop(key, None)
+    if tree is None:  # the root alone; read-only by flag, as _arrays's broadcast_to is slower
+        root = np.array([sigma0]) ** 2
+        root.flags.writeable = False
+        tree = ((), (), (), (root,))
+    elif len(tree[0]) < depth:
+        tau = _optimal_tau_vec(var := tree[3][-1], update_model)
+        amp = truth_model.beta * np.exp(tau * truth_model._neg_inv_T)
+        step, var_next = np.zeros((2, 2 * var.size))
+        for up in (False, True):  # one outcome a call: 128 KiB temporaries are mmapped, 3x slower
+            step[up::2], var_next[up::2] = _posterior_moments_vec(
+                -0.0, var, tau, np.full(var.size, up), update_model
+            )
+        tree = tuple(t + (a,) for t, a in zip(tree, _arrays(tau, amp, step, var_next)))
+    _trees[key] = tree
+    if len(_trees) > 4:
+        del _trees[next(iter(_trees))]
+    return tree
+
+
+def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None):
+    """Estimations from the prior sigma0, one per array element: final (mu, sigma, shift).
 
     Shot s measures +1 where u[s] < P(+1) of the truth model, tested as the same event
     beta e^(-tau/T) sin(2 pi (mu - eps) tau) < 1 + alpha - 2 u[s], and applies the array
-    closed form.  Under a drifting process (z given) the shift is eps plus the sum of the
-    process's OU components, which start stationary from the standard normals z[0] and
-    step over each probing cycle with z[s + 1].  All randomness comes in through u and z.
+    closed form, read for the shots the outcome tree holds from each run's node.  Under a
+    drifting process (z given) the shift is eps plus the sum of the process's OU components,
+    which start stationary from the standard normals z[0] and step over each probing cycle
+    with z[s + 1].  All randomness comes in through u and z.
     """
     beta, neg_inv_T = np.array(truth_model.beta), truth_model._neg_inv_T
     eps_true = eps
     if z is not None:
         comp = noise.transition(0.0, 0.0, z[0])
         eps_true = eps + comp.sum(axis=1)
-    var = sigma**2  # carried through every shot; the square root is taken once at the end
-    last = len(u) - 1
+    n, node = len(u), np.zeros(eps.shape, np.intp)
+    tree = _outcome_tree(sigma0, min(n, _TREE_DEPTH), truth_model, update_model)
+    (taus, amps, steps, tree_var), depth = tree, min(n, len(tree[0]))
+
+    def var_at(shot):  # each run's variance entering the shot; past the tree it carries its own
+        return var if shot > depth else tree_var[shot].take(node)
+
     for shot, threshold in enumerate((1.0 + truth_model.alpha) - 2.0 * u):
         # The scalar form's check that sigma**4 stays normal: exact on the last shot, as var never
         # grows, and every 512th, since tau**2 overflows >= 780 shots past it (<= 0.67 bits a shot).
-        if (shot == last or shot % 512 == 511) and not _sigma_in_range(math.sqrt(var.min())):
-            raise NumericalConsistencyError(f"sigma**4 is subnormal (sigma={math.sqrt(var.min())})")
-        tau = _optimal_tau_vec(var, update_model)
-        up = beta * np.exp(tau * neg_inv_T) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
-        mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
+        if shot == n - 1 or shot % 512 == 511:
+            sigma = math.sqrt(var_at(shot).min())
+            if not _sigma_in_range(sigma):
+                raise NumericalConsistencyError(f"sigma**4 is subnormal (sigma={sigma})")
+        if shot < depth:
+            tau = taus[shot].take(node)
+            up = amps[shot].take(node) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
+            node += node + up
+            mu = mu + steps[shot].take(node)
+        else:
+            var = var_at(shot)
+            tau = _optimal_tau_vec(var, update_model)
+            up = beta * np.exp(tau * neg_inv_T) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
+            mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
         if z is not None:
             cycle = (tau + _READOUT) + _DEPLETION  # cycle_duration, elementwise
             comp = noise.transition(comp, noise.decay(cycle[:, None]), z[shot + 1])
             eps_true = eps + comp.sum(axis=1)
-    return mu, np.sqrt(var), eps_true
+    return mu, np.sqrt(var_at(n)), eps_true
 
 
 def _rows(seed: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +213,7 @@ def _campaign(cfg: CampaignConfig, extra: int = 0) -> tuple[ErrorStats, np.ndarr
     eps0 = cfg.prior.mu + cfg.prior.sigma * z0
     u = rest[:, :start].T
     z = standard_normals(rest[:, start:])[:, :drift].reshape(R, n + 1, k).swapaxes(0, 1)
-    mu0, sigma0 = np.full(R, cfg.prior.mu), np.full(R, cfg.prior.sigma)
+    mu0, sigma0 = np.full(R, cfg.prior.mu), cfg.prior.sigma
     mu, sigma, eps_true = _lockstep(
         mu0, sigma0, eps0, u[:n], cfg.truth_model, cfg.update_model, cfg.noise, z if k else None
     )
@@ -291,7 +343,7 @@ def closed_loop_track(
     flips = np.zeros((2, m_cycles))  # feedback arm, open arm
     mu_hat = np.zeros(repetitions)  # warm start carries across the M cycles of each repetition
     for j, tau_j in enumerate(taus):
-        mu_hat, _, _ = _lockstep(mu_hat, np.full(repetitions, sigma0), eps, u[j, :-1], model, model)
+        mu_hat, _, _ = _lockstep(mu_hat, sigma0, eps, u[j, :-1], model, model)
         for arm, offset in enumerate((mu_hat, 0.0)):  # the open arm's drive is not offset
             probe = ProbeSettings(tau_j, target_detuning + offset)
             flips[arm, j] = np.mean(u[j, -1] < likelihood_probability(1, eps, probe, model))

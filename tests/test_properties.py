@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from freqtrack import oracle
+from freqtrack import experiments, oracle
 from freqtrack.estimator import (
     IDEAL_MODEL,
+    REFERENCE_MODEL,
     TWO_PI,
     GaussianBelief,
     LikelihoodModel,
@@ -19,6 +20,7 @@ from freqtrack.estimator import (
     _optimal_tau_vec,
     _posterior_moments,
     _posterior_moments_vec,
+    _sigma_in_range,
     design_probe,
     likelihood_probability,
     optimal_detuning,
@@ -26,7 +28,18 @@ from freqtrack.estimator import (
     run_estimation,
     update,
 )
-from freqtrack.experiments import _lockstep
+from freqtrack.experiments import (
+    _DEPLETION,
+    _READOUT,
+    _TREE_DEPTH,
+    _TWO_PI,
+    CampaignConfig,
+    _lockstep,
+    _outcome_tree,
+    closed_loop_track,
+    run_campaign,
+)
+from freqtrack.qubitsim import NoiseProcess
 
 # Every posterior variance is at least this fraction of the prior's: the
 # reduction is (beta/bias)^2 x^2 exp(-x^2) sigma^2 with x = 2 pi sigma tau,
@@ -149,13 +162,21 @@ def test_lockstep_outcome_is_u_below_the_truth_models_p_plus(truth, update_model
     probe = design_probe(GaussianBelief(mu, sigma), update_model)
     p_plus = likelihood_probability(+1, eps, probe, truth)
     assume(abs(u - p_plus) > 1e-12)
-    mu_next, _, _ = _lockstep(
-        np.array([mu]), np.array([sigma]), np.array([eps]), np.array([[u]]), truth, update_model
-    )
-    assert (mu_next[0] > mu) == (u < p_plus)
+    for _ in range(2):  # for a new key, the per-run loop and then the outcome tree's first level
+        mu_next, _, _ = _lockstep(
+            np.array([mu]), sigma, np.array([eps]), np.array([[u]]), truth, update_model
+        )
+        assert (mu_next[0] > mu) == (u < p_plus)
 
 
 IDEAL_SHRINK = math.sqrt(1.0 - math.exp(-1.0))  # per-shot sigma ratio, ideal model
+
+
+def _grown_tree(sigma0, truth, update_model, depth=_TREE_DEPTH):
+    # A call that finds the tree cached adds one level, so depth + 1 calls reach depth levels.
+    for _ in range(depth + 1):
+        tree = _outcome_tree(sigma0, depth, truth, update_model)
+    return tree
 
 
 def _raises_subnormal(run):
@@ -175,13 +196,207 @@ def test_lockstep_raises_on_the_same_shot_counts_as_run_estimation(n, ulps, sign
     # to that point (measured: 2.7e-17 n at most) their decisions may differ.
     sigma0 = 2.0**-255.5 / IDEAL_SHRINK ** (n - 1) * (1.0 + sign * ulps * n * 2.0**-52)
     zero, u = np.zeros(1), np.full((n, 1), 0.5)
-    in_array_form = _raises_subnormal(
-        lambda: _lockstep(zero, np.array([sigma0]), zero, u, IDEAL_MODEL, IDEAL_MODEL)
-    )
+
+    def in_array_form():
+        return _raises_subnormal(lambda: _lockstep(zero, sigma0, zero, u, IDEAL_MODEL, IDEAL_MODEL))
+
+    per_run = in_array_form()  # a miss: the first call builds no tree
+    _grown_tree(sigma0, IDEAL_MODEL, IDEAL_MODEL)
+    tabulated = in_array_form()  # the first min(n, _TREE_DEPTH) shots from the tree
     in_scalar_form = _raises_subnormal(
         lambda: run_estimation(GaussianBelief(0.0, sigma0), n, IDEAL_MODEL, lambda probe: 1)
     )
-    assert in_array_form == in_scalar_form
+    assert per_run == tabulated == in_scalar_form
+
+
+def _lockstep_per_run(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None):
+    # The lockstep loop as it was before the outcome tree: every shot computes tau, the
+    # amplitude and the mean step from each run's carried variance.  sigma is an array.
+    beta, neg_inv_T = np.array(truth_model.beta), truth_model._neg_inv_T
+    eps_true = eps
+    if z is not None:
+        comp = noise.transition(0.0, 0.0, z[0])
+        eps_true = eps + comp.sum(axis=1)
+    var = sigma**2  # carried through every shot; the square root is taken once at the end
+    last = len(u) - 1
+    for shot, threshold in enumerate((1.0 + truth_model.alpha) - 2.0 * u):
+        # The scalar form's check that sigma**4 stays normal: exact on the last shot, as var never
+        # grows, and every 512th, since tau**2 overflows >= 780 shots past it (<= 0.67 bits a shot).
+        if (shot == last or shot % 512 == 511) and not _sigma_in_range(math.sqrt(var.min())):
+            raise NumericalConsistencyError(f"sigma**4 is subnormal (sigma={math.sqrt(var.min())})")
+        tau = _optimal_tau_vec(var, update_model)
+        up = beta * np.exp(tau * neg_inv_T) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
+        mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
+        if z is not None:
+            cycle = (tau + _READOUT) + _DEPLETION  # cycle_duration, elementwise
+            comp = noise.transition(comp, noise.decay(cycle[:, None]), z[shot + 1])
+            eps_true = eps + comp.sum(axis=1)
+    return mu, np.sqrt(var), eps_true
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]  # equal bytes: equal values, signs of zero included
+
+
+@st.composite
+def limit_models(draw):  # beta = 0, or |alpha| + beta = 1
+    T = draw(st.one_of(st.just(math.inf), st.floats(1e-7, 1e-4)))
+    if draw(st.booleans()):
+        return LikelihoodModel(alpha=draw(st.floats(-0.99, 0.99)), beta=0.0, T=T)
+    beta = draw(st.floats(0.05, 1.0))
+    return LikelihoodModel(alpha=draw(st.sampled_from((-1.0, 1.0))) * (1.0 - beta), beta=beta, T=T)
+
+
+lockstep_models = st.one_of(models(), edge_models(), limit_models())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    lockstep_models,
+    lockstep_models,
+    st.floats(1e-3, 1e12),
+    st.integers(0, _TREE_DEPTH + 3),
+    st.sampled_from((None, "ou_drift", "one_over_f")),
+    st.integers(0, 2**32),
+)
+def test_tabulated_lockstep_equals_the_per_run_loop(truth, update_model, sigma0, n, kind, seed):
+    runs = 64
+    rng = np.random.default_rng(seed)
+    mu = sigma0 * rng.standard_normal(runs)
+    eps, u = mu + sigma0 * rng.standard_normal(runs), rng.random((n, runs))
+    noise = z = None
+    if kind is not None:
+        noise = NoiseProcess(kind=kind, sigma_eps=sigma0)
+        z = rng.standard_normal((n + 1, runs, noise.rates.size))
+    per_run = _bits(
+        _lockstep_per_run(mu, np.full(runs, sigma0), eps, u, truth, update_model, noise, z)
+    )
+    for _ in range(min(n, _TREE_DEPTH) + 2):  # every depth of the tree, 0 to min(n, _TREE_DEPTH)
+        assert _bits(_lockstep(mu, sigma0, eps, u, truth, update_model, noise, z)) == per_run
+
+
+@pytest.mark.parametrize("n", [3, _TREE_DEPTH + 2])
+def test_flat_update_model_keeps_the_sign_of_each_zero_step(n):
+    # At beta = 0 the steps are -0.0 (m = -1) and +0.0 (m = +1), and beta = -0.0 swaps them.
+    # From mu = -0.0 a run stays at -0.0 only if every step is -0.0: here runs 0-99 measure -1
+    # on every shot, 100-199 +1, the rest at random.  The two models are equal, so the tree's
+    # cache must still tell them apart, in either order and at every depth.
+    rng = np.random.default_rng(n)
+    mu, eps, u = np.full(500, -0.0), 1e6 * rng.standard_normal(500), rng.random((n, 500))
+    u[:, :100], u[:, 100:200] = 1.0 - 2.0**-53, 0.0
+    for beta in (0.0, -0.0) * (min(n, _TREE_DEPTH) + 2):
+        update_model = LikelihoodModel(alpha=-0.02, beta=beta, T=10e-6)
+        args = (eps, u, REFERENCE_MODEL, update_model)
+        tabulated = _lockstep(mu, 1e6, *args)
+        assert _bits(tabulated) == _bits(_lockstep_per_run(mu, np.full(500, 1e6), *args))
+        positive = math.copysign(1.0, beta) > 0  # then the m = -1 steps are -0.0
+        assert np.signbit(tabulated[0][:200]).tolist() == [positive] * 100 + [not positive] * 100
+
+
+@pytest.mark.parametrize("n", [2, 8, _TREE_DEPTH])
+def test_lockstep_checks_sigma_at_the_nodes_it_visits(n):
+    # Under alpha < 0 an outcome of +1 reduces the variance more than -1, so the all +1 node
+    # has the smallest variance entering the last shot.  sigma0 puts only that node's sigma**4
+    # below the smallest normal double, so a run raises on the all +1 path, as run_estimation
+    # does, and not on the all -1 one.  T is infinite: at the reference T = 10 us, tau saturates
+    # at T where sigma**4 turns subnormal, and no variance moves by an ulp.
+    model = LikelihoodModel(alpha=REFERENCE_MODEL.alpha, beta=REFERENCE_MODEL.beta, T=math.inf)
+
+    def entering_last(m, sigma0):
+        _, trace = run_estimation(GaussianBelief(0.0, sigma0), n - 1, model, lambda probe: m)
+        return trace[-1].sigma
+
+    # T = inf makes the schedule scale-free: a unit prior gives each path's shrink factor.
+    up, down = entering_last(1, 1.0), entering_last(-1, 1.0)
+    sigma0 = 2.0**-255.5 / up * (down / up) ** (-0.5 / (n - 1))
+    *_, var = _grown_tree(sigma0, model, model, n)
+    assert len(var) == n + 1  # so _lockstep reads every shot's variance from the tree
+    subnormal = [k for k, v in enumerate(var[n - 1]) if not _sigma_in_range(math.sqrt(v))]
+    assert subnormal == [2 ** (n - 1) - 1]  # the all +1 node, last in its level
+
+    zero = np.zeros(1)
+    for m, u in ((1, 0.0), (-1, 1.0 - 2.0**-53)):
+        in_array_form = _raises_subnormal(
+            lambda: _lockstep(zero, sigma0, zero, np.full((n, 1), u), model, model)
+        )
+        in_scalar_form = _raises_subnormal(
+            lambda: run_estimation(GaussianBelief(0.0, sigma0), n, model, lambda probe: m)
+        )
+        assert in_array_form == in_scalar_form == (m == 1)
+
+
+class TestOutcomeTreeCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_trees", {})
+
+    def test_a_miss_builds_nothing_and_each_hit_one_level(self):
+        for calls in range(1, _TREE_DEPTH + 4):
+            taus, amps, steps, var = _outcome_tree(1e6, _TREE_DEPTH, REFERENCE_MODEL, IDEAL_MODEL)
+            depth = min(calls - 1, _TREE_DEPTH)
+            assert (len(taus), len(amps), len(steps), len(var)) == (depth, depth, depth, depth + 1)
+            assert [v.size for v in var] == [2**s for s in range(depth + 1)]
+        assert len(_outcome_tree(1e6, 3, REFERENCE_MODEL, IDEAL_MODEL)[0]) == _TREE_DEPTH
+
+    def test_tables_are_read_only(self):
+        tree = _grown_tree(1e6, REFERENCE_MODEL, REFERENCE_MODEL, 4)
+        with pytest.raises(TypeError):  # every caller gets the same tuples
+            tree[0] = None
+        with pytest.raises(TypeError):
+            tree[0][0] = None
+        for level in (table for tables in tree for table in tables):
+            with pytest.raises(ValueError, match="read-only"):
+                level[0] = 0.0
+
+    def test_cache_is_bounded(self):
+        for k in range(12):
+            _outcome_tree(1e6, 4, REFERENCE_MODEL, REFERENCE_MODEL)  # found from the second call
+            _outcome_tree(2e6 + k, 4, REFERENCE_MODEL, REFERENCE_MODEL)  # a new key every time
+        assert len(experiments._trees) <= 8
+        assert len(_outcome_tree(1e6, 4, REFERENCE_MODEL, REFERENCE_MODEL)[0]) == 4  # kept
+
+    def test_value_equal_models_share_one_entry(self):
+        rng = np.random.default_rng(0)
+        eps, u = 1e6 * rng.standard_normal(10), rng.random((15, 10))
+        for _ in range(2):
+            model = LikelihoodModel(alpha=-0.02, beta=0.6, T=10e-6)  # a new, equal instance
+            _lockstep(np.zeros(10), 1e6, eps, u, model, model)
+        [(taus, *_)] = experiments._trees.values()
+        assert len(taus) == 1  # the second call found the first call's tree
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda prior: run_campaign(
+                CampaignConfig(
+                    300, _TREE_DEPTH + 5, prior, REFERENCE_MODEL, IDEAL_MODEL, master_seed=2
+                )
+            ),
+            lambda prior: run_campaign(
+                CampaignConfig(
+                    100, _TREE_DEPTH + 2, prior, REFERENCE_MODEL, REFERENCE_MODEL,
+                    NoiseProcess(kind="one_over_f"), master_seed=3,
+                )
+            ),
+            lambda prior: closed_loop_track(NoiseProcess(), 20, 12, 7e-6, REFERENCE_MODEL, 4, 50),
+        ],
+        ids=["campaign_above_the_cap", "one_over_f_above_the_cap", "closed_loop_track"],
+    )
+    def test_callers_match_the_per_run_loop(self, run, monkeypatch):
+        def bits(result):
+            if isinstance(result, tuple):  # closed_loop_track's two fringe records
+                return _bits([r.flip_fractions for r in result])
+            return _bits([result.eps_true, result.eps_hat, result.final_sigmas])
+
+        prior = GaussianBelief(0.0, 1e6)
+        tabulated = [bits(run(prior)) for _ in range(_TREE_DEPTH + 2)]  # up to the full tree
+        monkeypatch.setattr(
+            experiments,
+            "_lockstep",
+            lambda mu, sigma0, *args: _lockstep_per_run(mu, np.full(mu.shape, sigma0), *args),
+        )
+        assert tabulated == [bits(run(prior))] * (_TREE_DEPTH + 2)
+        assert len(next(iter(experiments._trees.values()))[0]) == _TREE_DEPTH
 
 
 def test_array_form_rejects_non_boolean_outcomes():
