@@ -106,28 +106,38 @@ class ErrorStats:
         return float(np.mean(np.abs(self.errors) <= self.final_sigmas))
 
 
-#: Deepest outcome tree, in shots: its tables hold about 6 * 2**depth doubles (768 KiB at 14).
+#: Deepest outcome tree, in shots: its tables hold about (6 + 2k) * 2**depth doubles for a bank of
+#: k drift components (768 KiB at 14, and 1.5 MiB more for the default 6-component 1/f bank).
 _TREE_DEPTH = 14
 #: The 4 trees last used, oldest first (the five commands use 3).  Not locked: the package starts
 #: no thread, and a lost update would only cost a rebuild.
 _trees: dict = {}
 
 
-def _outcome_tree(sigma0, depth, truth_model, update_model):
-    """Per-shot tuples (taus, amps, steps, var) of read-only levels of the tree from sigma0.
+def _bank_step(noise, tau):
+    """(decay, kick) of each component over each tau's cycle_duration: comp * decay + kick * z."""
+    decay = noise.decay(((tau + _READOUT) + _DEPLETION)[:, None])
+    return decay, noise.innovation(decay)
+
+
+def _outcome_tree(sigma0, depth, truth_model, update_model, noise=None):
+    """Per-shot tuples (taus, amps, steps, var[, decays, kicks]) of read-only levels of the tree.
 
     A run's node at shot s is its outcomes so far in binary (m = +1 is 1): level s holds the
     tau, amplitude beta e^(-tau/T) and entering variance of its 2**s nodes, and the mean step
-    to each child 2k + (m = +1), the array form at mu = -0.0 (so mu + step is the step).  A
-    call that finds the tree adds one level, up to depth: a one-off campaign builds none.
+    to each child 2k + (m = +1), the array form at mu = -0.0 (so mu + step is the step).  For a
+    drifting noise process it also holds, per node and component, the decay over the node's
+    cycle and the innovation scale of that step, (2**s, k) each.  A call that finds the tree
+    adds one level, up to depth: a one-off campaign builds none.
     """
+    drift = noise if noise is not None and noise.rates.size else None  # quasistatic keys as None
     sign = math.copysign(1.0, update_model.beta)  # beta = -0.0 equals 0.0, but not its zero steps
-    key = (sigma0, truth_model, update_model, sign)
+    key = (sigma0, truth_model, update_model, sign, drift)
     tree = _trees.pop(key, None)
     if tree is None:  # the root alone; read-only by flag, as _arrays's broadcast_to is slower
         root = np.array([sigma0]) ** 2
         root.flags.writeable = False
-        tree = ((), (), (), (root,))
+        tree = ((), (), (), (root,)) + ((), ()) * (drift is not None)
     elif len(tree[0]) < depth:
         tau = _optimal_tau_vec(var := tree[3][-1], update_model)
         amp = truth_model.beta * np.exp(tau * truth_model._neg_inv_T)
@@ -136,7 +146,10 @@ def _outcome_tree(sigma0, depth, truth_model, update_model):
             step[up::2], var_next[up::2] = _posterior_moments_vec(
                 -0.0, var, tau, np.full(var.size, up), update_model
             )
-        tree = tuple(t + (a,) for t, a in zip(tree, _arrays(tau, amp, step, var_next)))
+        level = (tau, amp, step, var_next)
+        if drift is not None:
+            level += _bank_step(drift, tau)
+        tree = tuple(t + (a,) for t, a in zip(tree, _arrays(*level)))
     _trees[key] = tree
     if len(_trees) > 4:
         del _trees[next(iter(_trees))]
@@ -151,16 +164,18 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
     closed form, read for the shots the outcome tree holds from each run's node.  Under a
     drifting process (z given) the shift is eps plus the sum of the process's OU components,
     which start stationary from the standard normals z[0] and step over each probing cycle
-    with z[s + 1].  All randomness comes in through u and z.
+    with z[s + 1], by the decay and innovation scale the tree holds for the node probed.  All
+    randomness comes in through u and z.
     """
     beta, neg_inv_T = np.array(truth_model.beta), truth_model._neg_inv_T
     eps_true = eps
     if z is not None:
         comp = noise.transition(0.0, 0.0, z[0])
-        eps_true = eps + comp.sum(axis=1)
+        eps_true = eps + np.add.reduce(comp, 1)
     n, node = len(u), np.zeros(eps.shape, np.intp)
-    tree = _outcome_tree(sigma0, min(n, _TREE_DEPTH), truth_model, update_model)
-    (taus, amps, steps, tree_var), depth = tree, min(n, len(tree[0]))
+    tree = _outcome_tree(sigma0, min(n, _TREE_DEPTH), truth_model, update_model, noise)
+    (taus, amps, steps, tree_var, *drift), depth = tree, min(n, len(tree[0]))
+    decays, kicks = drift or (None, None)
 
     def var_at(shot):  # each run's variance entering the shot; past the tree it carries its own
         return var if shot > depth else tree_var[shot].take(node)
@@ -174,6 +189,8 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
                 raise NumericalConsistencyError(f"sigma**4 is subnormal (sigma={sigma})")
         if shot < depth:
             tau = taus[shot].take(node)
+            if z is not None:  # the bank steps over the cycle of the node probed
+                decay, kick = decays[shot].take(node, 0), kicks[shot].take(node, 0)
             up = amps[shot].take(node) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
             node += node + up
             mu = mu + steps[shot].take(node)
@@ -182,10 +199,11 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
             tau = _optimal_tau_vec(var, update_model)
             up = beta * np.exp(tau * neg_inv_T) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
             mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
+            if z is not None:
+                decay, kick = _bank_step(noise, tau)
         if z is not None:
-            cycle = (tau + _READOUT) + _DEPLETION  # cycle_duration, elementwise
-            comp = noise.transition(comp, noise.decay(cycle[:, None]), z[shot + 1])
-            eps_true = eps + comp.sum(axis=1)
+            comp = comp * decay + kick * z[shot + 1]
+            eps_true = eps + np.add.reduce(comp, 1)
     return mu, np.sqrt(var_at(n)), eps_true
 
 

@@ -172,10 +172,10 @@ def test_lockstep_outcome_is_u_below_the_truth_models_p_plus(truth, update_model
 IDEAL_SHRINK = math.sqrt(1.0 - math.exp(-1.0))  # per-shot sigma ratio, ideal model
 
 
-def _grown_tree(sigma0, truth, update_model, depth=_TREE_DEPTH):
+def _grown_tree(sigma0, truth, update_model, depth=_TREE_DEPTH, noise=None):
     # A call that finds the tree cached adds one level, so depth + 1 calls reach depth levels.
     for _ in range(depth + 1):
-        tree = _outcome_tree(sigma0, depth, truth, update_model)
+        tree = _outcome_tree(sigma0, depth, truth, update_model, noise)
     return tree
 
 
@@ -331,12 +331,52 @@ class TestOutcomeTreeCache:
         monkeypatch.setattr(experiments, "_trees", {})
 
     def test_a_miss_builds_nothing_and_each_hit_one_level(self):
-        for calls in range(1, _TREE_DEPTH + 4):
-            taus, amps, steps, var = _outcome_tree(1e6, _TREE_DEPTH, REFERENCE_MODEL, IDEAL_MODEL)
-            depth = min(calls - 1, _TREE_DEPTH)
-            assert (len(taus), len(amps), len(steps), len(var)) == (depth, depth, depth, depth + 1)
-            assert [v.size for v in var] == [2**s for s in range(depth + 1)]
-        assert len(_outcome_tree(1e6, 3, REFERENCE_MODEL, IDEAL_MODEL)[0]) == _TREE_DEPTH
+        for noise in (None, NoiseProcess(kind="one_over_f")):  # a drifting bank's tables as well
+            for calls in range(1, _TREE_DEPTH + 4):
+                taus, amps, steps, var, *drift = _outcome_tree(
+                    1e6, _TREE_DEPTH, REFERENCE_MODEL, IDEAL_MODEL, noise
+                )
+                depth = min(calls - 1, _TREE_DEPTH)
+                lengths = (len(taus), len(amps), len(steps), len(var))
+                assert lengths == (depth, depth, depth, depth + 1)
+                assert [len(tables) for tables in drift] == [depth] * (0 if noise is None else 2)
+                assert [v.size for v in var] == [2**s for s in range(depth + 1)]
+            assert len(_outcome_tree(1e6, 3, REFERENCE_MODEL, IDEAL_MODEL, noise)[0]) == _TREE_DEPTH
+
+    def test_a_quasistatic_process_shares_the_tree_of_none(self):
+        for noise in (None, NoiseProcess(), NoiseProcess(sigma_eps=1.0), None):
+            tree = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, noise)
+        assert len(experiments._trees) == 1
+        assert len(tree) == 4 and len(tree[0]) == 3  # no drift tables; found by the last 3 calls
+
+    def test_each_drifting_process_keys_its_own_tree(self):
+        # OU and 1/f at one (sigma0, models) step their banks by different tables; two
+        # value-equal processes are one key.
+        ou, one_over_f = NoiseProcess(kind="ou_drift"), NoiseProcess(kind="one_over_f")
+        for noise in (None, ou, one_over_f, NoiseProcess(kind="one_over_f")) * 2:
+            _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, noise)
+        assert [len(tree[0]) for tree in experiments._trees.values()] == [1, 1, 3]
+        assert [key[-1] for key in experiments._trees] == [None, ou, one_over_f]
+
+    @pytest.mark.parametrize("kind", ["ou_drift", "one_over_f"])
+    def test_drift_tables_hold_each_nodes_step_read_only(self, kind):
+        noise = NoiseProcess(kind=kind)
+        taus, _, _, _, decays, kicks = _grown_tree(1e6, REFERENCE_MODEL, IDEAL_MODEL, 4, noise)
+        shapes = [(2**s, noise.rates.size) for s in range(4)]
+        assert [d.shape for d in decays] == [k.shape for k in kicks] == shapes
+        for tau, decay, kick in zip(taus, decays, kicks):  # over the node's cycle_duration
+            cycle = ((tau + _READOUT) + _DEPLETION)[:, None]
+            np.testing.assert_array_equal(decay, noise.decay(cycle))
+            np.testing.assert_array_equal(kick, noise.innovation(decay))
+            for table in (decay, kick):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 0.0
+
+    def test_a_full_one_over_f_tree_stays_small(self):
+        # (6 + 2k) 2**14 doubles for the default k = 6 bank; the cache holds up to 4 such trees.
+        tree = _grown_tree(1e6, REFERENCE_MODEL, IDEAL_MODEL, noise=NoiseProcess(kind="one_over_f"))
+        assert len(tree[0]) == _TREE_DEPTH
+        assert sum(level.nbytes for tables in tree for level in tables) <= 2.5 * 2**20
 
     def test_tables_are_read_only(self):
         tree = _grown_tree(1e6, REFERENCE_MODEL, REFERENCE_MODEL, 4)

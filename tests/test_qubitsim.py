@@ -60,6 +60,22 @@ class TestNoiseProcess:
         with pytest.raises(ValueError):
             NoiseProcess(kind="one_over_f", octave_count=2)
 
+    @pytest.mark.parametrize("kind", ["quasistatic", "ou_drift", "one_over_f"])
+    @pytest.mark.parametrize("sigma_eps", [math.nan, math.inf, -1.0])
+    def test_sigma_eps_must_be_finite_and_non_negative(self, kind, sigma_eps):
+        # A nan shift makes every sine test false, so every run of a campaign gets one estimate.
+        with pytest.raises(ValueError, match="sigma_eps"):
+            NoiseProcess(kind=kind, sigma_eps=sigma_eps)
+
+    @pytest.mark.parametrize(
+        "band",
+        [(1.0, math.inf), (-math.inf, 1e5), (math.nan, 1e5), (1.0, math.nan), (0.0, 1e5), (1e5, 1.0)],
+    )
+    def test_band_edges_must_be_finite_positive_and_increasing(self, band):
+        # An infinite edge used to give the bank the rates [nan, inf, ...].
+        with pytest.raises(ValueError, match="band"):
+            NoiseProcess(kind="one_over_f", band=band)
+
     def test_quasistatic_constant_within_run(self):
         proc = NoiseProcess(kind="quasistatic", sigma_eps=30e3)
         rng = np.random.default_rng(2)
@@ -105,8 +121,9 @@ class TestNoiseProcess:
         rng = np.random.default_rng(5)
         comp, z = rng.normal(0.0, 2e4, (20, proc.rates.size)), rng.standard_normal((20, proc.rates.size))
         decay = proc.decay(np.linspace(3.5e-6, 2e-3, 20)[:, None])
-        expected = comp * decay + np.sqrt(proc.component_variance * (1.0 - decay**2)) * z
-        np.testing.assert_array_equal(proc.transition(comp, decay, z), expected)
+        kick = np.sqrt(proc.component_variance * (1.0 - decay**2))
+        np.testing.assert_array_equal(proc.innovation(decay), kick)
+        np.testing.assert_array_equal(proc.transition(comp, decay, z), comp * decay + kick * z)
         np.testing.assert_array_equal(
             proc.transition(0.0, 0.0, z), np.sqrt(proc.component_variance * 1.0) * z
         )
@@ -222,6 +239,13 @@ class TestReproducibility:
         b = rng_for_run(77, 5).random(4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, rng_for_run(77, 6).random(4))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**127 + 3])
+    def test_run_zero_is_the_unadvanced_stream(self, seed):
+        # Run 0 skips the advance by 0, which would leave the same state.
+        np.testing.assert_equal(
+            rng_for_run(seed, 0).bit_generator.state, np.random.Philox(key=seed).state
+        )
 
 
 #: numpy.random's stream and bit-generator constructors.
