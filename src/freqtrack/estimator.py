@@ -91,6 +91,7 @@ class LikelihoodModel:
             )
         if not self.T > 0.0:
             raise ValueError(f"T must be positive (may be inf), got {self.T}")
+        object.__setattr__(self, "beta", self.beta + 0.0)  # -0.0 is 0.0: equal models, equal bits
         # Not cached_properties: their __dict__ writes would slow every later read of the fields.
         inv_T, gain = 0.0 if math.isinf(self.T) else 1.0 / self.T, TWO_PI * self.beta
         gains = [-gain / (1.0 - self.alpha), gain / (1.0 + self.alpha)]  # indexed by m == +1

@@ -8,6 +8,7 @@ fixed-evolution-time frequentist baseline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -109,9 +110,6 @@ class ErrorStats:
 #: Deepest outcome tree, in shots: its tables hold about (6 + 2k) * 2**depth doubles for a bank of
 #: k drift components (768 KiB at 14, and 1.5 MiB more for the default 6-component 1/f bank).
 _TREE_DEPTH = 14
-#: The 4 trees last used, oldest first (the five commands use 3).  Not locked: the package starts
-#: no thread, and a lost update would only cost a rebuild.
-_trees: dict = {}
 
 
 def _bank_step(noise, tau):
@@ -120,25 +118,19 @@ def _bank_step(noise, tau):
     return decay, noise.innovation(decay)
 
 
-def _outcome_tree(sigma0, depth, truth_model, update_model, noise=None):
-    """Per-shot tuples (taus, amps, steps, var[, decays, kicks]) of read-only levels of the tree.
+@functools.lru_cache(maxsize=4)  # the five commands use 3 trees
+def _outcome_tree(sigma0, depth, truth_model, update_model, drift):
+    """Per-shot tuples (taus, amps, steps, var[, decays, kicks]) of depth read-only levels.
 
-    A run's node at shot s is its outcomes so far in binary (m = +1 is 1): level s holds the
-    tau, amplitude beta e^(-tau/T) and entering variance of its 2**s nodes, and the mean step
-    to each child 2k + (m = +1), the array form at mu = -0.0 (so mu + step is the step).  For a
-    drifting noise process it also holds, per node and component, the decay over the node's
-    cycle and the innovation scale of that step, (2**s, k) each.  A call that finds the tree
-    adds one level, up to depth: a one-off campaign builds none.
+    A run's node at shot s is its outcomes so far in binary (m = +1 is 1): level s holds the tau,
+    amplitude beta e^(-tau/T) and entering variance of its 2**s nodes, and the mean step to each
+    child 2k + (m = +1), the array form at mu = -0.0 (so mu + step is the step).  For a drifting
+    bank it also holds each node's decay over its cycle and innovation scale, (2**s, k) each.
     """
-    drift = noise if noise is not None and noise.rates.size else None  # quasistatic keys as None
-    sign = math.copysign(1.0, update_model.beta)  # beta = -0.0 equals 0.0, but not its zero steps
-    key = (sigma0, truth_model, update_model, sign, drift)
-    tree = _trees.pop(key, None)
-    if tree is None:  # the root alone; read-only by flag, as _arrays's broadcast_to is slower
-        root = np.array([sigma0]) ** 2
-        root.flags.writeable = False
-        tree = ((), (), (), (root,)) + ((), ()) * (drift is not None)
-    elif len(tree[0]) < depth:
+    root = np.array([sigma0], np.float64) ** 2
+    root.flags.writeable = False  # read-only, as _arrays makes each level
+    tree = ([], [], [], [root]) + ([], []) * (drift is not None)
+    for _ in range(depth):
         tau = _optimal_tau_vec(var := tree[3][-1], update_model)
         amp = truth_model.beta * np.exp(tau * truth_model._neg_inv_T)
         step, var_next = np.zeros((2, 2 * var.size))
@@ -146,14 +138,10 @@ def _outcome_tree(sigma0, depth, truth_model, update_model, noise=None):
             step[up::2], var_next[up::2] = _posterior_moments_vec(
                 -0.0, var, tau, np.full(var.size, up), update_model
             )
-        level = (tau, amp, step, var_next)
-        if drift is not None:
-            level += _bank_step(drift, tau)
-        tree = tuple(t + (a,) for t, a in zip(tree, _arrays(*level)))
-    _trees[key] = tree
-    if len(_trees) > 4:
-        del _trees[next(iter(_trees))]
-    return tree
+        level = (tau, amp, step, var_next) + (_bank_step(drift, tau) if drift is not None else ())
+        for tables, table in zip(tree, _arrays(*level)):
+            tables.append(table)
+    return tuple(map(tuple, tree))
 
 
 def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None):
@@ -172,10 +160,9 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
     if z is not None:
         comp = noise.transition(0.0, 0.0, z[0])
         eps_true = eps + np.add.reduce(comp, 1)
-    n, node = len(u), np.zeros(eps.shape, np.intp)
-    tree = _outcome_tree(sigma0, min(n, _TREE_DEPTH), truth_model, update_model, noise)
-    (taus, amps, steps, tree_var, *drift), depth = tree, min(n, len(tree[0]))
-    decays, kicks = drift or (None, None)
+    n, node, depth = len(u), np.zeros(eps.shape, np.intp), min(len(u), _TREE_DEPTH)
+    tree = _outcome_tree(sigma0, depth, truth_model, update_model, noise if z is not None else None)
+    taus, amps, steps, tree_var, *bank = tree  # bank: the drift tables, if z is given
 
     def var_at(shot):  # each run's variance entering the shot; past the tree it carries its own
         return var if shot > depth else tree_var[shot].take(node)
@@ -190,7 +177,7 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
         if shot < depth:
             tau = taus[shot].take(node)
             if z is not None:  # the bank steps over the cycle of the node probed
-                decay, kick = decays[shot].take(node, 0), kicks[shot].take(node, 0)
+                decay, kick = bank[0][shot].take(node, 0), bank[1][shot].take(node, 0)
             up = amps[shot].take(node) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
             node += node + up
             mu = mu + steps[shot].take(node)

@@ -370,6 +370,7 @@ class TestAcceptance:
             (["campaign", "--runs", "60", "--n", "8"], []),
             (["validate-gaussian", "--multipliers", "1,3"], []),
             (["track", "--cycles", "30", "--repetitions", "50"], []),
+            (["compare-frequentist", "--runs", "50"], []),  # its tree's key, IDEAL_MODEL, as well
         ):
             paths = [tmp_path / f"{cmd[0]}_{k}.csv" for k in range(2)]
             for p in paths:

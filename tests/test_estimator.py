@@ -71,6 +71,12 @@ class TestLikelihoodModel:
             assert twin._gains.tolist() == [-TWO_PI * 0.5 / 0.9, TWO_PI * 0.5 / 1.1]
         assert str(LikelihoodModel(0.0, 1.0, math.inf)._neg_inv_T) == "-0.0"
 
+    def test_negative_zero_beta_is_stored_as_zero(self):
+        # beta = -0.0 compares equal to 0.0, so it must step alike: its gains would be +-0 swapped.
+        flat, negative_zero = LikelihoodModel(-0.02, 0.0, 1e-5), LikelihoodModel(-0.02, -0.0, 1e-5)
+        assert negative_zero._gains.tobytes() == flat._gains.tobytes()
+        assert math.copysign(1.0, negative_zero.beta) == 1.0
+
 
 VALUE_TYPES = [
     GaussianBelief(mu=-3.5e4, sigma=2.5e5),

@@ -162,7 +162,7 @@ def test_lockstep_outcome_is_u_below_the_truth_models_p_plus(truth, update_model
     probe = design_probe(GaussianBelief(mu, sigma), update_model)
     p_plus = likelihood_probability(+1, eps, probe, truth)
     assume(abs(u - p_plus) > 1e-12)
-    for _ in range(2):  # for a new key, the per-run loop and then the outcome tree's first level
+    for _ in range(2):  # a new key's first call builds the outcome tree, the second reads it
         mu_next, _, _ = _lockstep(
             np.array([mu]), sigma, np.array([eps]), np.array([[u]]), truth, update_model
         )
@@ -170,13 +170,6 @@ def test_lockstep_outcome_is_u_below_the_truth_models_p_plus(truth, update_model
 
 
 IDEAL_SHRINK = math.sqrt(1.0 - math.exp(-1.0))  # per-shot sigma ratio, ideal model
-
-
-def _grown_tree(sigma0, truth, update_model, depth=_TREE_DEPTH, noise=None):
-    # A call that finds the tree cached adds one level, so depth + 1 calls reach depth levels.
-    for _ in range(depth + 1):
-        tree = _outcome_tree(sigma0, depth, truth, update_model, noise)
-    return tree
 
 
 def _raises_subnormal(run):
@@ -196,13 +189,12 @@ def test_lockstep_raises_on_the_same_shot_counts_as_run_estimation(n, ulps, sign
     # to that point (measured: 2.7e-17 n at most) their decisions may differ.
     sigma0 = 2.0**-255.5 / IDEAL_SHRINK ** (n - 1) * (1.0 + sign * ulps * n * 2.0**-52)
     zero, u = np.zeros(1), np.full((n, 1), 0.5)
-
-    def in_array_form():
-        return _raises_subnormal(lambda: _lockstep(zero, sigma0, zero, u, IDEAL_MODEL, IDEAL_MODEL))
-
-    per_run = in_array_form()  # a miss: the first call builds no tree
-    _grown_tree(sigma0, IDEAL_MODEL, IDEAL_MODEL)
-    tabulated = in_array_form()  # the first min(n, _TREE_DEPTH) shots from the tree
+    per_run = _raises_subnormal(
+        lambda: _lockstep_per_run(zero, np.full(1, sigma0), zero, u, IDEAL_MODEL, IDEAL_MODEL)
+    )
+    tabulated = _raises_subnormal(  # the first min(n, _TREE_DEPTH) shots from the tree
+        lambda: _lockstep(zero, sigma0, zero, u, IDEAL_MODEL, IDEAL_MODEL)
+    )
     in_scalar_form = _raises_subnormal(
         lambda: run_estimation(GaussianBelief(0.0, sigma0), n, IDEAL_MODEL, lambda probe: 1)
     )
@@ -271,26 +263,28 @@ def test_tabulated_lockstep_equals_the_per_run_loop(truth, update_model, sigma0,
     per_run = _bits(
         _lockstep_per_run(mu, np.full(runs, sigma0), eps, u, truth, update_model, noise, z)
     )
-    for _ in range(min(n, _TREE_DEPTH) + 2):  # every depth of the tree, 0 to min(n, _TREE_DEPTH)
+    for _ in range(2):  # a first call builds the tree, the second reads it
         assert _bits(_lockstep(mu, sigma0, eps, u, truth, update_model, noise, z)) == per_run
 
 
 @pytest.mark.parametrize("n", [3, _TREE_DEPTH + 2])
 def test_flat_update_model_keeps_the_sign_of_each_zero_step(n):
-    # At beta = 0 the steps are -0.0 (m = -1) and +0.0 (m = +1), and beta = -0.0 swaps them.
-    # From mu = -0.0 a run stays at -0.0 only if every step is -0.0: here runs 0-99 measure -1
-    # on every shot, 100-199 +1, the rest at random.  The two models are equal, so the tree's
-    # cache must still tell them apart, in either order and at every depth.
+    # At beta = 0 the steps are -0.0 (m = -1) and +0.0 (m = +1).  From mu = -0.0 a run stays at
+    # -0.0 only if every step is -0.0: here runs 0-99 measure -1 on every shot, 100-199 +1, the
+    # rest at random.  beta = -0.0 is stored as 0.0, so the equal models step alike, in either
+    # order, whether the call builds the tree or reads it.
     rng = np.random.default_rng(n)
     mu, eps, u = np.full(500, -0.0), 1e6 * rng.standard_normal(500), rng.random((n, 500))
     u[:, :100], u[:, 100:200] = 1.0 - 2.0**-53, 0.0
-    for beta in (0.0, -0.0) * (min(n, _TREE_DEPTH) + 2):
+    results = []
+    for beta in (0.0, -0.0, 0.0, -0.0):
         update_model = LikelihoodModel(alpha=-0.02, beta=beta, T=10e-6)
         args = (eps, u, REFERENCE_MODEL, update_model)
         tabulated = _lockstep(mu, 1e6, *args)
         assert _bits(tabulated) == _bits(_lockstep_per_run(mu, np.full(500, 1e6), *args))
-        positive = math.copysign(1.0, beta) > 0  # then the m = -1 steps are -0.0
-        assert np.signbit(tabulated[0][:200]).tolist() == [positive] * 100 + [not positive] * 100
+        assert np.signbit(tabulated[0][:200]).tolist() == [True] * 100 + [False] * 100
+        results.append(_bits(tabulated))
+    assert results == [results[0]] * 4  # beta = -0.0 gives beta = 0.0's bits
 
 
 @pytest.mark.parametrize("n", [2, 8, _TREE_DEPTH])
@@ -309,7 +303,7 @@ def test_lockstep_checks_sigma_at_the_nodes_it_visits(n):
     # T = inf makes the schedule scale-free: a unit prior gives each path's shrink factor.
     up, down = entering_last(1, 1.0), entering_last(-1, 1.0)
     sigma0 = 2.0**-255.5 / up * (down / up) ** (-0.5 / (n - 1))
-    *_, var = _grown_tree(sigma0, model, model, n)
+    *_, var = _outcome_tree(sigma0, n, model, model, None)
     assert len(var) == n + 1  # so _lockstep reads every shot's variance from the tree
     subnormal = [k for k, v in enumerate(var[n - 1]) if not _sigma_in_range(math.sqrt(v))]
     assert subnormal == [2 ** (n - 1) - 1]  # the all +1 node, last in its level
@@ -327,41 +321,56 @@ def test_lockstep_checks_sigma_at_the_nodes_it_visits(n):
 
 class TestOutcomeTreeCache:
     @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_trees", {})
+    def empty_cache(self):
+        _outcome_tree.cache_clear()
 
-    def test_a_miss_builds_nothing_and_each_hit_one_level(self):
+    def test_a_first_call_builds_every_level(self):
+        rng = np.random.default_rng(0)
         for noise in (None, NoiseProcess(kind="one_over_f")):  # a drifting bank's tables as well
-            for calls in range(1, _TREE_DEPTH + 4):
+            k = 0 if noise is None else noise.rates.size
+            for n in (0, 1, 5, _TREE_DEPTH, _TREE_DEPTH + 3):
+                z = None if noise is None else rng.standard_normal((n + 1, 3, k))
+                args = (rng.random((n, 3)), REFERENCE_MODEL, IDEAL_MODEL, noise, z)
+                _lockstep(np.zeros(3), 1e6, np.zeros(3), *args)
+                misses, depth = _outcome_tree.cache_info().misses, min(n, _TREE_DEPTH)
                 taus, amps, steps, var, *drift = _outcome_tree(
-                    1e6, _TREE_DEPTH, REFERENCE_MODEL, IDEAL_MODEL, noise
+                    1e6, depth, REFERENCE_MODEL, IDEAL_MODEL, noise
                 )
-                depth = min(calls - 1, _TREE_DEPTH)
-                lengths = (len(taus), len(amps), len(steps), len(var))
-                assert lengths == (depth, depth, depth, depth + 1)
-                assert [len(tables) for tables in drift] == [depth] * (0 if noise is None else 2)
-                assert [v.size for v in var] == [2**s for s in range(depth + 1)]
-            assert len(_outcome_tree(1e6, 3, REFERENCE_MODEL, IDEAL_MODEL, noise)[0]) == _TREE_DEPTH
+                assert _outcome_tree.cache_info().misses == misses  # the tree _lockstep built
+                sizes = [2**s for s in range(depth + 1)]
+                assert [t.size for t in taus] == [a.size for a in amps] == sizes[:-1]
+                assert [step.size for step in steps] == [2 * size for size in sizes[:-1]]
+                assert [v.size for v in var] == sizes
+                shapes = [(2**s, k) for s in range(depth)]
+                assert [[t.shape for t in tables] for tables in drift] == [shapes] * (k > 0) * 2
 
     def test_a_quasistatic_process_shares_the_tree_of_none(self):
+        prior = GaussianBelief(0.0, 1e6)
         for noise in (None, NoiseProcess(), NoiseProcess(sigma_eps=1.0), None):
-            tree = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, noise)
-        assert len(experiments._trees) == 1
-        assert len(tree) == 4 and len(tree[0]) == 3  # no drift tables; found by the last 3 calls
+            run_campaign(CampaignConfig(10, 4, prior, REFERENCE_MODEL, IDEAL_MODEL, noise))
+        info = _outcome_tree.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        tree = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, None)
+        assert len(tree) == 4  # no drift tables
 
     def test_each_drifting_process_keys_its_own_tree(self):
         # OU and 1/f at one (sigma0, models) step their banks by different tables; two
         # value-equal processes are one key.
+        prior = GaussianBelief(0.0, 1e6)
         ou, one_over_f = NoiseProcess(kind="ou_drift"), NoiseProcess(kind="one_over_f")
         for noise in (None, ou, one_over_f, NoiseProcess(kind="one_over_f")) * 2:
-            _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, noise)
-        assert [len(tree[0]) for tree in experiments._trees.values()] == [1, 1, 3]
-        assert [key[-1] for key in experiments._trees] == [None, ou, one_over_f]
+            run_campaign(CampaignConfig(10, 4, prior, REFERENCE_MODEL, IDEAL_MODEL, noise))
+        info = _outcome_tree.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 5, 3)
+        for noise in (ou, one_over_f):
+            *_, decays, kicks = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, noise)
+            assert decays[0].shape == kicks[0].shape == (1, noise.rates.size)
+        assert _outcome_tree.cache_info().misses == 3
 
     @pytest.mark.parametrize("kind", ["ou_drift", "one_over_f"])
     def test_drift_tables_hold_each_nodes_step_read_only(self, kind):
         noise = NoiseProcess(kind=kind)
-        taus, _, _, _, decays, kicks = _grown_tree(1e6, REFERENCE_MODEL, IDEAL_MODEL, 4, noise)
+        taus, _, _, _, decays, kicks = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, noise)
         shapes = [(2**s, noise.rates.size) for s in range(4)]
         assert [d.shape for d in decays] == [k.shape for k in kicks] == shapes
         for tau, decay, kick in zip(taus, decays, kicks):  # over the node's cycle_duration
@@ -374,12 +383,13 @@ class TestOutcomeTreeCache:
 
     def test_a_full_one_over_f_tree_stays_small(self):
         # (6 + 2k) 2**14 doubles for the default k = 6 bank; the cache holds up to 4 such trees.
-        tree = _grown_tree(1e6, REFERENCE_MODEL, IDEAL_MODEL, noise=NoiseProcess(kind="one_over_f"))
+        noise = NoiseProcess(kind="one_over_f")
+        tree = _outcome_tree(1e6, _TREE_DEPTH, REFERENCE_MODEL, IDEAL_MODEL, noise)
         assert len(tree[0]) == _TREE_DEPTH
         assert sum(level.nbytes for tables in tree for level in tables) <= 2.5 * 2**20
 
     def test_tables_are_read_only(self):
-        tree = _grown_tree(1e6, REFERENCE_MODEL, REFERENCE_MODEL, 4)
+        tree = _outcome_tree(1e6, 4, REFERENCE_MODEL, REFERENCE_MODEL, None)
         with pytest.raises(TypeError):  # every caller gets the same tuples
             tree[0] = None
         with pytest.raises(TypeError):
@@ -390,10 +400,11 @@ class TestOutcomeTreeCache:
 
     def test_cache_is_bounded(self):
         for k in range(12):
-            _outcome_tree(1e6, 4, REFERENCE_MODEL, REFERENCE_MODEL)  # found from the second call
-            _outcome_tree(2e6 + k, 4, REFERENCE_MODEL, REFERENCE_MODEL)  # a new key every time
-        assert len(experiments._trees) <= 8
-        assert len(_outcome_tree(1e6, 4, REFERENCE_MODEL, REFERENCE_MODEL)[0]) == 4  # kept
+            _outcome_tree(1e6, 4, REFERENCE_MODEL, REFERENCE_MODEL, None)  # found from the 2nd call
+            _outcome_tree(2e6 + k, 4, REFERENCE_MODEL, REFERENCE_MODEL, None)  # a new key each time
+        info = _outcome_tree.cache_info()
+        assert (info.maxsize, info.currsize) == (4, 4)
+        assert (info.misses, info.hits) == (13, 11)  # the recently used key was kept throughout
 
     def test_value_equal_models_share_one_entry(self):
         rng = np.random.default_rng(0)
@@ -401,8 +412,8 @@ class TestOutcomeTreeCache:
         for _ in range(2):
             model = LikelihoodModel(alpha=-0.02, beta=0.6, T=10e-6)  # a new, equal instance
             _lockstep(np.zeros(10), 1e6, eps, u, model, model)
-        [(taus, *_)] = experiments._trees.values()
-        assert len(taus) == 1  # the second call found the first call's tree
+        info = _outcome_tree.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)  # the second call found it
 
     @pytest.mark.parametrize(
         "run",
@@ -429,14 +440,14 @@ class TestOutcomeTreeCache:
             return _bits([result.eps_true, result.eps_hat, result.final_sigmas])
 
         prior = GaussianBelief(0.0, 1e6)
-        tabulated = [bits(run(prior)) for _ in range(_TREE_DEPTH + 2)]  # up to the full tree
+        tabulated = [bits(run(prior)) for _ in range(2)]  # the first call builds the tree
+        assert _outcome_tree.cache_info().misses == 1  # every later call read it
         monkeypatch.setattr(
             experiments,
             "_lockstep",
             lambda mu, sigma0, *args: _lockstep_per_run(mu, np.full(mu.shape, sigma0), *args),
         )
-        assert tabulated == [bits(run(prior))] * (_TREE_DEPTH + 2)
-        assert len(next(iter(experiments._trees.values()))[0]) == _TREE_DEPTH
+        assert tabulated == [bits(run(prior))] * 2
 
 
 def test_array_form_rejects_non_boolean_outcomes():
