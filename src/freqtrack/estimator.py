@@ -73,7 +73,8 @@ class LikelihoodModel:
     alpha in (-1, 1), beta in [0, 1], |alpha| + beta <= 1 so all probabilities
     stay in [0, 1].  beta = 0 is the degenerate flat-likelihood model (updates
     are no-ops).  T may be math.inf for a decoherence-free model.  inv_T is
-    1/T, exactly zero for infinite T; it and the array form's constants are set once, not fields.
+    1/T, exactly zero for infinite T, and inv_T_sq its square; they and the array and scalar
+    forms' constants are set once, not fields.
     """
 
     alpha: float = -0.02
@@ -95,9 +96,14 @@ class LikelihoodModel:
         # Not cached_properties: their __dict__ writes would slow every later read of the fields.
         inv_T, gain = 0.0 if math.isinf(self.T) else 1.0 / self.T, TWO_PI * self.beta
         gains = [-gain / (1.0 - self.alpha), gain / (1.0 + self.alpha)]  # indexed by m == +1
-        names = ("inv_T", "_inv_T", "_inv_T_sq", "_neg_inv_T", "_gains")
-        for name, value in zip(names, (inv_T, *_arrays(inv_T, inv_T**2, -inv_T, gains))):
+        names = ("inv_T", "inv_T_sq", "_inv_T", "_inv_T_sq", "_neg_inv_T", "_gains")
+        for name, value in zip(names, (inv_T, inv_T**2, *_arrays(inv_T, inv_T**2, -inv_T, gains))):
             object.__setattr__(self, name, value)
+        # The scalar form's factors of the model and m, evaluated as its left-to-right products group them.
+        for name, m in (("_up", 1), ("_down", -1)):
+            bias = 1.0 + m * self.alpha
+            object.__setattr__(self, name, (TWO_PI * m * self.beta, bias, bias**2))
+        object.__setattr__(self, "_var_gain", _TWO_PI_SQ * self.beta**2)
 
     def __reduce__(self):  # copies rerun __post_init__, so their arrays stay read-only
         return type(self), (self.alpha, self.beta, self.T)
@@ -149,11 +155,13 @@ def optimal_tau(sigma: float, T: float) -> float:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not T > 0.0:
         raise ValueError(f"T must be positive (may be inf), got {T}")
-    return _optimal_tau(sigma, 0.0 if math.isinf(T) else 1.0 / T)
+    inv_T = 0.0 if math.isinf(T) else 1.0 / T
+    return _optimal_tau(sigma**2, inv_T, inv_T**2)
 
 
-def _optimal_tau(sigma: float, inv_T: float) -> float:  # sigma > 0 and T > 0 already checked
-    return 2.0 / (math.sqrt(_SIXTEEN_PI_SQ * sigma**2 + inv_T**2) + inv_T)
+def _optimal_tau(var: float, inv_T: float, inv_T_sq: float) -> float:
+    """optimal_tau from var = sigma**2, 1/T and 1/T**2; sigma > 0 and T > 0 already checked."""
+    return 2.0 / (math.sqrt(_SIXTEEN_PI_SQ * var + inv_T_sq) + inv_T)
 
 
 def optimal_detuning(mu: float, tau: float) -> float:
@@ -169,31 +177,35 @@ def optimal_detuning(mu: float, tau: float) -> float:
 
 def design_probe(belief: GaussianBelief, model: LikelihoodModel) -> ProbeSettings:
     """Greedy-optimal probe for the current belief."""
-    tau = _optimal_tau(belief.sigma, model.inv_T)
+    tau = _optimal_tau(belief.sigma**2, model.inv_T, model.inv_T_sq)
     return ProbeSettings(tau, 0.25 / tau + belief.mu)  # optimal_detuning, tau > 0 already
 
 
 def _posterior_moments(
-    mu: float, sigma: float, tau: float, m: int, model: LikelihoodModel
+    mu: float, sigma: float, var: float, tau: float, m: int, model: LikelihoodModel
 ) -> tuple[float, float]:
     """Method-of-moments posterior (mu, sigma) after outcome m.
 
-    The probe is (tau, optimal_detuning(mu, tau)).  This is the scalar form,
-    on floats; _posterior_moments_vec is the same closed form on arrays.  A
+    The probe is (tau, optimal_detuning(mu, tau)), and var is sigma**2, which
+    the caller has computed for tau.  This is the scalar form, on floats;
+    _posterior_moments_vec is the same closed form on arrays.  The leading
+    factors 2 pi m beta, 1 + m alpha, its square and (2 pi)^2 beta^2 are the
+    model's (_up or _down, and _var_gain), which left-to-right evaluation
+    computes first, so folding them moves no bit.  A
     variance below VARIANCE_FLOOR_REL * sigma^2, or NaN, or a subnormal
     sigma^4 raises NumericalConsistencyError.
     """
     b = model.beta
     if b == 0.0:
         return mu, sigma
-    var, sigma4 = sigma**2, sigma**4
+    sigma4 = sigma**4
     if sigma4 < _NORMAL_MIN:  # subnormal: the reduction would lose precision
         raise NumericalConsistencyError(f"sigma**4 = {sigma4} is subnormal (sigma={sigma})")
     tau2 = tau**2
     damp = math.exp(-tau * model.inv_T - _HALF_TWO_PI_SQ * var * tau2)
-    bias = 1.0 + m * model.alpha
-    mu_next = mu + TWO_PI * m * b * var * tau * damp / bias
-    var_next = var - _TWO_PI_SQ * b**2 * sigma4 * tau2 * damp**2 / bias**2
+    gain, bias, bias_sq = model._up if m == 1 else model._down
+    mu_next = mu + gain * var * tau * damp / bias
+    var_next = var - model._var_gain * sigma4 * tau2 * damp**2 / bias_sq
     if not var_next >= VARIANCE_FLOOR_REL * var:
         raise NumericalConsistencyError(
             f"posterior variance {var_next} is below the floor "
@@ -246,7 +258,7 @@ def update(
     about 0.8 of the reported sigma.
     """
     _validate_outcome(m)
-    mu, sigma = _posterior_moments(belief.mu, belief.sigma, probe.tau, m, model)
+    mu, sigma = _posterior_moments(belief.mu, belief.sigma, belief.sigma**2, probe.tau, m, model)
     return GaussianBelief(mu, sigma)
 
 
@@ -291,15 +303,18 @@ def run_estimation(
     """
     if n_shots < 0:
         raise ValueError(f"n_shots must be >= 0, got {n_shots}")
-    mu, sigma, inv_T = prior.mu, prior.sigma, model.inv_T  # _posterior_moments keeps them valid
+    mu, sigma = prior.mu, prior.sigma  # _posterior_moments keeps them valid
+    inv_T, inv_T_sq = model.inv_T, model.inv_T_sq
     trace: list[StepRecord] = []
     for step in range(n_shots):
-        tau = _optimal_tau(sigma, inv_T)
-        probe = ProbeSettings(tau, 0.25 / tau + mu)
+        var = sigma**2
+        tau = _optimal_tau(var, inv_T, inv_T_sq)
+        delta_f = 0.25 / tau + mu
+        probe = ProbeSettings(tau, delta_f)
         try:
             m = _validate_outcome(measure(probe))
         except Exception as exc:
             raise EstimationAborted(GaussianBelief(mu, sigma), trace, exc) from exc
-        mu, sigma = _posterior_moments(mu, sigma, tau, m, model)
-        trace.append(StepRecord(step, tau, probe.delta_f, m, mu, sigma))
+        mu, sigma = _posterior_moments(mu, sigma, var, tau, m, model)
+        trace.append(StepRecord(step, tau, delta_f, m, mu, sigma))
     return GaussianBelief(mu, sigma), trace

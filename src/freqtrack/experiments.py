@@ -217,11 +217,9 @@ def _campaign(cfg: CampaignConfig, extra: int = 0) -> tuple[ErrorStats, np.ndarr
     z0, rest = _rows(cfg.master_seed, R, start + drift + drift % 2)
     eps0 = cfg.prior.mu + cfg.prior.sigma * z0
     u = rest[:, :start].T
-    z = standard_normals(rest[:, start:])[:, :drift].reshape(R, n + 1, k).swapaxes(0, 1)
+    z = standard_normals(rest[:, start:])[:, :drift].reshape(R, n + 1, k).swapaxes(0, 1) if k else None
     mu0, sigma0 = np.full(R, cfg.prior.mu), cfg.prior.sigma
-    mu, sigma, eps_true = _lockstep(
-        mu0, sigma0, eps0, u[:n], cfg.truth_model, cfg.update_model, cfg.noise, z if k else None
-    )
+    mu, sigma, eps_true = _lockstep(mu0, sigma0, eps0, u[:n], cfg.truth_model, cfg.update_model, cfg.noise, z)
     return ErrorStats(eps_true, mu, sigma), u[n:]
 
 

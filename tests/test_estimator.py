@@ -71,6 +71,17 @@ class TestLikelihoodModel:
             assert twin._gains.tolist() == [-TWO_PI * 0.5 / 0.9, TWO_PI * 0.5 / 1.1]
         assert str(LikelihoodModel(0.0, 1.0, math.inf)._neg_inv_T) == "-0.0"
 
+    def test_scalar_factors_survive_copies(self):
+        # The scalar closed form reads (2 pi m beta, 1 + m alpha, its square) and (2 pi)^2 beta^2.
+        model = LikelihoodModel(alpha=0.1, beta=0.5, T=4e-6)
+        twins = (model, pickle.loads(pickle.dumps(model)), copy.deepcopy(model), dataclasses.replace(model))
+        for twin in twins:
+            assert twin == model and hash(twin) == hash(model) and repr(twin) == repr(model)
+            assert twin.inv_T_sq == 2.5e5**2
+            assert twin._up == (TWO_PI * 0.5, 1.1, 1.1**2)
+            assert twin._down == (-TWO_PI * 0.5, 0.9, 0.9**2)
+            assert twin._var_gain == TWO_PI**2 * 0.25
+
     def test_negative_zero_beta_is_stored_as_zero(self):
         # beta = -0.0 compares equal to 0.0, so it must step alike: its gains would be +-0 swapped.
         flat, negative_zero = LikelihoodModel(-0.02, 0.0, 1e-5), LikelihoodModel(-0.02, -0.0, 1e-5)
@@ -296,6 +307,18 @@ class TestUpdate:
         for m in (-1, 1):
             after = update(belief, probe, m, IDEAL_MODEL)
             assert after.sigma / belief.sigma == pytest.approx(IDEAL_SHRINK, rel=1e-13)
+
+    @pytest.mark.parametrize("m", [np.int64(1), np.int8(-1), 1.0, True])
+    def test_outcome_type_does_not_reach_the_belief(self, m):
+        # The closed form reads the model's factors for m, so any outcome equal to +-1 steps as the int.
+        model = LikelihoodModel(-0.02, 0.6, 1e-5)
+        belief = GaussianBelief(0.0, 1e6)
+        probe = design_probe(belief, model)
+        expected = update(belief, probe, int(m), model)
+        after = update(belief, probe, m, model)
+        assert after == expected and type(after.mu) is float and type(after.sigma) is float
+        final, trace = run_estimation(belief, 1, model, lambda probe: m)
+        assert final == expected and type(final.mu) is float and trace[0].outcome is m
 
     def test_subnormal_sigma_pow_4_raises(self):
         # A subnormal sigma**4 has lost bits: one ideal step at sigma = 1.3e-81

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from freqtrack import experiments, oracle
@@ -67,7 +67,7 @@ outcomes = st.sampled_from((-1, 1))
 def test_step_matches_oracle_moments(model, mu, sigma, mult, m):
     tau = mult * optimal_tau(sigma, model.T)
     probe = ProbeSettings(tau=tau, delta_f=optimal_detuning(mu, tau))
-    mu_next, sigma_next = _posterior_moments(mu, sigma, tau, m, model)
+    mu_next, sigma_next = _posterior_moments(mu, sigma, sigma**2, tau, m, model)
     grid = oracle.grid_update(oracle.from_gaussian(GaussianBelief(mu, sigma)), m, probe, model)
     mean, std = oracle.moments(grid)
     assert abs(mu_next - mean) <= 1e-4 * sigma
@@ -86,7 +86,7 @@ def test_array_form_matches_scalar_form(model, rows):
     sigma_v = np.sqrt(var_v)
     for i, (mu_i, sigma_i, mult_i, m_i) in enumerate(rows):
         tau_i = mult_i * optimal_tau(sigma_i, model.T)
-        mu_s, sigma_s = _posterior_moments(mu_i, sigma_i, tau_i, m_i, model)
+        mu_s, sigma_s = _posterior_moments(mu_i, sigma_i, sigma_i**2, tau_i, m_i, model)
         # np.exp and math.exp may differ by an ulp, so the forms agree to rounding only.
         assert math.isclose(tau[i], tau_i, rel_tol=1e-14)
         assert abs(mu_v[i] - mu_s) <= 1e-14 * max(abs(mu_s), sigma_i)
@@ -97,7 +97,7 @@ def test_array_form_matches_scalar_form(model, rows):
 @given(models(), mus, sigmas, st.floats(1e-3, 100.0), outcomes)
 def test_variance_never_falls_below_bound(model, mu, sigma, mult, m):
     tau = mult * optimal_tau(sigma, model.T)
-    _, sigma_next = _posterior_moments(mu, sigma, tau, m, model)
+    _, sigma_next = _posterior_moments(mu, sigma, sigma**2, tau, m, model)
     assert sigma_next**2 >= MIN_VARIANCE_RATIO * sigma**2 * (1.0 - 1e-12)
 
 
@@ -106,15 +106,17 @@ def test_impossible_variance_raises_in_both_forms(beta):
     # No valid model gets here, so a duck-typed one outside LikelihoodModel's
     # checks stands in for a numerical fault: beta = 3 drives the variance
     # negative, beta = nan makes it nan.
-    # The array form also reads the model's -1/T and its two gains 2 pi m beta / (1 + m alpha).
+    # The array form also reads the model's -1/T and its two gains 2 pi m beta / (1 + m alpha),
+    # the scalar form its factors (2 pi m beta, 1 + m alpha, its square) and (2 pi)^2 beta^2.
     gains = np.array([-TWO_PI * beta, TWO_PI * beta])
     model = SimpleNamespace(
-        alpha=0.0, beta=beta, inv_T=0.0, _neg_inv_T=np.array(-0.0), _gains=gains
+        alpha=0.0, beta=beta, inv_T=0.0, _neg_inv_T=np.array(-0.0), _gains=gains,
+        _up=(TWO_PI * beta, 1.0, 1.0), _down=(-TWO_PI * beta, 1.0, 1.0), _var_gain=TWO_PI**2 * beta**2,
     )
     sigma = 1e6
     tau = 1.0 / (TWO_PI * sigma)  # x = 2 pi sigma tau = 1, the largest reduction
     with pytest.raises(NumericalConsistencyError):
-        _posterior_moments(0.0, sigma, tau, 1, model)
+        _posterior_moments(0.0, sigma, sigma**2, tau, 1, model)
     with pytest.raises(NumericalConsistencyError):
         _posterior_moments_vec(
             np.zeros(3), np.full(3, sigma**2), np.full(3, tau), np.ones(3, bool), model
@@ -472,6 +474,8 @@ def _optimal_tau_written_out(sigma, T):
 
 def _posterior_moments_written_out(mu, sigma, tau, m, model):
     b = model.beta
+    if b == 0.0:  # the flat model's update is a no-op, as in the scalar form
+        return mu, sigma
     var = sigma**2
     inv_T = 0.0 if math.isinf(model.T) else 1.0 / model.T
     damp = math.exp(-tau * inv_T - TWO_PI**2 / 2.0 * var * tau**2)
@@ -490,7 +494,7 @@ def test_closed_form_bits_equal_the_written_out_expressions(model, mu, sigma, mu
     tau_opt = optimal_tau(sigma, model.T)
     assert tau_opt == _optimal_tau_written_out(sigma, model.T)
     tau = mult * tau_opt
-    assert _posterior_moments(mu, sigma, tau, m, model) == _posterior_moments_written_out(
+    assert _posterior_moments(mu, sigma, sigma**2, tau, m, model) == _posterior_moments_written_out(
         mu, sigma, tau, m, model
     )
 
@@ -517,3 +521,34 @@ def test_controller_loop_equals_run_estimation_and_the_written_out_loop(model, m
         assert delta_f == 0.25 / tau + mu_ref
         mu_ref, sigma_ref = _posterior_moments_written_out(mu_ref, sigma_ref, tau, m, model)
         assert (mu_next, sigma_next) == (mu_ref, sigma_ref)
+
+
+def _hex(*values):
+    return [float(v).hex() for v in values]  # equal strings: equal bits, signs of zero included
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(models(), limit_models()),
+    st.one_of(st.sampled_from((-0.0, 0.0)), mus),
+    wide_sigmas,
+    st.lists(outcomes, max_size=20),
+)
+# sigma**2 and (1 - alpha)**2 that differ from sigma * sigma and (1 - alpha) * (1 - alpha):
+@example(LikelihoodModel(-0.02, 0.6, 1e-5), 0.0, 1345786.938855165, [1])
+@example(LikelihoodModel(0.2882398177113618, 0.6, 1e-5), 0.0, 1e6, [-1, -1, -1])
+def test_controller_loop_keeps_every_bit_of_the_written_out_loop(model, mu, sigma, seq):
+    # The model's folded factors must leave every bit in place, the sign of a zero mu included,
+    # and beta = 0 must leave the belief as it was.
+    expected, mu_ref, sigma_ref = [], mu, sigma
+    for m in seq:
+        tau = _optimal_tau_written_out(sigma_ref, model.T)
+        mu_ref, sigma_ref = _posterior_moments_written_out(mu_ref, sigma_ref, tau, m, model)
+        expected.append(_hex(mu_ref, sigma_ref))
+    belief, steps = GaussianBelief(mu, sigma), []
+    for m in seq:
+        belief = update(belief, design_probe(belief, model), m, model)
+        steps.append(_hex(belief.mu, belief.sigma))
+    replay = iter(seq)
+    _, trace = run_estimation(GaussianBelief(mu, sigma), len(seq), model, lambda probe: next(replay))
+    assert steps == [_hex(r.mu, r.sigma) for r in trace] == expected
