@@ -74,7 +74,7 @@ class LikelihoodModel:
     stay in [0, 1].  beta = 0 is the degenerate flat-likelihood model (updates
     are no-ops).  T may be math.inf for a decoherence-free model.  inv_T is
     1/T, exactly zero for infinite T, and inv_T_sq its square; they and the array and scalar
-    forms' constants are set once, not fields.
+    forms' gains and factors are set once, not fields.
     """
 
     alpha: float = -0.02
@@ -96,8 +96,7 @@ class LikelihoodModel:
         # Not cached_properties: their __dict__ writes would slow every later read of the fields.
         inv_T, gain = 0.0 if math.isinf(self.T) else 1.0 / self.T, TWO_PI * self.beta
         gains = [-gain / (1.0 - self.alpha), gain / (1.0 + self.alpha)]  # indexed by m == +1
-        names = ("inv_T", "inv_T_sq", "_inv_T", "_inv_T_sq", "_neg_inv_T", "_gains")
-        for name, value in zip(names, (inv_T, inv_T**2, *_arrays(inv_T, inv_T**2, -inv_T, gains))):
+        for name, value in (("inv_T", inv_T), ("inv_T_sq", inv_T**2), ("_gains", _arrays(gains)[0])):
             object.__setattr__(self, name, value)
         # The scalar form's factors of the model and m, evaluated as its left-to-right products group them.
         for name, m in (("_up", 1), ("_down", -1)):
@@ -105,7 +104,7 @@ class LikelihoodModel:
             object.__setattr__(self, name, (TWO_PI * m * self.beta, bias, bias**2))
         object.__setattr__(self, "_var_gain", _TWO_PI_SQ * self.beta**2)
 
-    def __reduce__(self):  # copies rerun __post_init__, so their arrays stay read-only
+    def __reduce__(self):  # copies rerun __post_init__, so their gains stay read-only
         return type(self), (self.alpha, self.beta, self.T)
 
 
@@ -216,7 +215,7 @@ def _posterior_moments(
 
 def _optimal_tau_vec(var: np.ndarray, model: LikelihoodModel) -> np.ndarray:
     """optimal_tau on an array of variances sigma^2, for the model's T."""
-    return _TWO / (np.sqrt(_SIXTEEN_PI_SQ_A * var + model._inv_T_sq) + model._inv_T)
+    return _TWO / (np.sqrt(_SIXTEEN_PI_SQ_A * var + model.inv_T_sq) + model.inv_T)
 
 
 def _posterior_moments_vec(
@@ -233,7 +232,7 @@ def _posterior_moments_vec(
     """
     if up.dtype != np.bool_:  # a take would read an outcome of -1 as the gain of +1
         raise TypeError(f"up must be a boolean array, got dtype {up.dtype}")
-    damp = np.exp(tau * model._neg_inv_T - _HALF_TWO_PI_SQ_A * var * tau**2)
+    damp = np.exp(tau * -model.inv_T - _HALF_TWO_PI_SQ_A * var * tau**2)
     step = model._gains.take(up) * var * tau * damp
     var_next = var - step * step
     if not (var_next >= _FLOOR_A * var).all():

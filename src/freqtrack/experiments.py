@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +40,7 @@ from .qubitsim import (
     standard_normals,
 )
 
-_TWO_PI, _READOUT, _DEPLETION = _arrays(TWO_PI, READOUT_TIME, DEPLETION_TIME)
+_TWO_PI = _arrays(TWO_PI)[0]  # an operand of every tabulated shot's outcome test
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +69,7 @@ class CampaignConfig:
             raise ValueError(f"run_count must be >= 1, got {self.run_count}")
         if self.n_shots < 0:
             raise ValueError(f"n_shots must be >= 0, got {self.n_shots}")
-        if not 0 <= self.master_seed < 2**128:  # the keys Philox accepts
+        if not 0 <= operator.index(self.master_seed) < 2**128:  # the keys Philox accepts; 2.5 raises
             raise ValueError(f"master_seed must be >= 0 and < 2**128, got {self.master_seed}")
         if not _sigma_in_range(self.prior.sigma):
             raise ValueError(f"prior sigma {self.prior.sigma}: sigma**4 is subnormal or infinite")
@@ -114,7 +115,7 @@ _TREE_DEPTH = 14
 
 def _bank_step(noise, tau):
     """(decay, kick) of each component over each tau's cycle_duration: comp * decay + kick * z."""
-    decay = noise.decay(((tau + _READOUT) + _DEPLETION)[:, None])
+    decay = noise.decay(((tau + READOUT_TIME) + DEPLETION_TIME)[:, None])
     return decay, noise.innovation(decay)
 
 
@@ -132,7 +133,7 @@ def _outcome_tree(sigma0, depth, truth_model, update_model, drift):
     tree = ([], [], [], [root]) + ([], []) * (drift is not None)
     for _ in range(depth):
         tau = _optimal_tau_vec(var := tree[3][-1], update_model)
-        amp = truth_model.beta * np.exp(tau * truth_model._neg_inv_T)
+        amp = truth_model.beta * np.exp(tau * -truth_model.inv_T)
         step, var_next = np.zeros((2, 2 * var.size))
         for up in (False, True):  # one outcome a call: 128 KiB temporaries are mmapped, 3x slower
             step[up::2], var_next[up::2] = _posterior_moments_vec(
@@ -155,7 +156,7 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
     with z[s + 1], by the decay and innovation scale the tree holds for the node probed.  All
     randomness comes in through u and z.
     """
-    beta, neg_inv_T = np.array(truth_model.beta), truth_model._neg_inv_T
+    beta, neg_rate = np.array(truth_model.beta), np.array(-truth_model.inv_T)
     eps_true = eps
     if z is not None:
         comp = noise.transition(0.0, 0.0, z[0])
@@ -184,7 +185,7 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
         else:
             var = var_at(shot)
             tau = _optimal_tau_vec(var, update_model)
-            up = beta * np.exp(tau * neg_inv_T) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
+            up = beta * np.exp(tau * neg_rate) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
             mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
             if z is not None:
                 decay, kick = _bank_step(noise, tau)
@@ -328,6 +329,8 @@ def closed_loop_track(
     uniforms and one verification uniform that both arms use.  So the fringes,
     averaged over repetitions advanced in lockstep, differ only by the feedback.
     """
+    if n_shots < 0:
+        raise ValueError(f"n_shots must be >= 0, got {n_shots}")
     if m_cycles < 2:
         raise ValueError(f"m_cycles must be >= 2, got {m_cycles}")
     if not tau_max > 0.0:

@@ -10,6 +10,7 @@ synthesized as a sum of OU components with log-spaced rates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,11 @@ ONE_OVER_F = "one_over_f"
 def rng_for_run(master_seed: int, run_index: int, width: int = 2**32) -> np.random.Generator:
     """The master seed's Philox stream from double run_index * width on.
 
-    For a width that is a multiple of 4 (doubles per Philox block) this is row
-    run_index of Generator(Philox(key=master_seed)).random((R, width)), for any R.
-    The default width exceeds any campaign row, so its streams do not overlap.
+    For a width that is a multiple of 4 (doubles per Philox block) this is row run_index of
+    Generator(Philox(key=master_seed)).random((R, width)), for any R.  The default width exceeds any
+    campaign row, so its streams do not overlap.  A seed of 2.5 raises TypeError; Philox would take 2.
     """
-    bits, offset = np.random.Philox(key=master_seed), run_index * width // 4
+    bits, offset = np.random.Philox(key=operator.index(master_seed)), run_index * width // 4
     if offset:  # advance(0) moves nothing, and costs about a third of the stream's construction
         bits.advance(offset)
     return np.random.Generator(bits)
@@ -94,19 +95,15 @@ class NoiseProcess:
         if self.kind == ONE_OVER_F:
             f_low, f_high = self.band
             rates = 2.0 * math.pi * np.logspace(math.log10(f_low), math.log10(f_high), self.octave_count)
-        rates = _arrays(rates)[0]
-        component_variance = self.sigma_eps**2 / max(rates.size, 1)
-        consts = _arrays(-rates, 1.0, component_variance)  # decay's, transition's operands
-        names = ("rates", "component_variance", "_neg_rates", "_one", "_component_variance")
-        for name, value in zip(names, (rates, component_variance, *consts)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rates", _arrays(rates)[0])
+        object.__setattr__(self, "component_variance", self.sigma_eps**2 / max(self.rates.size, 1))
 
-    def __reduce__(self):  # copies rerun __post_init__, so their arrays stay read-only
+    def __reduce__(self):  # copies rerun __post_init__, so their rates stay read-only
         return type(self), (self.kind, self.sigma_eps, self.correlation_time, self.octave_count, self.band)
 
     def decay(self, dt) -> np.ndarray:
         """Factor exp(-rate dt) by which each component relaxes over dt."""
-        return np.exp(self._neg_rates * dt)
+        return np.exp(self.rates * -dt)
 
     def transition(self, components, decay, z):
         """Exact OU transition of the components, given one standard normal each in z.
@@ -119,7 +116,7 @@ class NoiseProcess:
 
     def innovation(self, decay):
         """Scale of the normal that keeps a component stationary over a step of this decay."""
-        return np.sqrt(self._component_variance * (self._one - decay**2))
+        return np.sqrt(self.component_variance * (1.0 - decay**2))
 
 
 @dataclass(frozen=True)

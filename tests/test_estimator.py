@@ -61,15 +61,16 @@ class TestLikelihoodModel:
             model.inv_T = 0.0
 
     def test_array_constants_are_read_only_and_survive_copies(self):
-        # The array closed form reads these 0-d arrays and the mean step's two gains.
+        # The array closed form reads the mean step's two gains as a read-only array, 1/T and 1/T^2
+        # as the floats the scalar form reads.
         model = LikelihoodModel(alpha=0.1, beta=0.5, T=4e-6)
         for twin in (model, pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
             assert twin == model and hash(twin) == hash(model) and repr(twin) == repr(model)
-            arrays = (twin._inv_T, twin._inv_T_sq, twin._neg_inv_T, twin._gains)
-            assert all(a.dtype == np.float64 and not a.flags.writeable for a in arrays)
-            assert (twin._inv_T, twin._inv_T_sq, twin._neg_inv_T) == (2.5e5, 2.5e5**2, -2.5e5)
+            assert twin._gains.dtype == np.float64 and not twin._gains.flags.writeable
+            assert type(twin.inv_T) is type(twin.inv_T_sq) is float
+            assert (twin.inv_T, twin.inv_T_sq) == (2.5e5, 2.5e5**2)
             assert twin._gains.tolist() == [-TWO_PI * 0.5 / 0.9, TWO_PI * 0.5 / 1.1]
-        assert str(LikelihoodModel(0.0, 1.0, math.inf)._neg_inv_T) == "-0.0"
+        assert str(-LikelihoodModel(0.0, 1.0, math.inf).inv_T) == "-0.0"  # the array forms' -1/T
 
     def test_scalar_factors_survive_copies(self):
         # The scalar closed form reads (2 pi m beta, 1 + m alpha, its square) and (2 pi)^2 beta^2.

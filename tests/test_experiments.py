@@ -178,6 +178,27 @@ class TestCampaign:
                 master_seed=seed,
             )
 
+    def test_non_integer_seed_rejected_and_numpy_integer_keeps_its_stream(self):
+        # Philox truncated a seed of 2.5 to 2, so the campaign silently ran seed 2's streams.
+        cfg = dict(run_count=20, n_shots=15, prior=GaussianBelief(0.0, 1e6),
+                   truth_model=REFERENCE_MODEL, update_model=REFERENCE_MODEL)
+        with pytest.raises(TypeError, match="integer"):
+            CampaignConfig(master_seed=2.5, **cfg)
+        with pytest.raises(TypeError, match="integer"):
+            rng_for_run(2.5, 0)
+        with pytest.raises(TypeError, match="integer"):
+            closed_loop_track(NoiseProcess(), 8, 12, 7e-6, IDEAL_MODEL, 1.5, repetitions=4)
+        with pytest.raises(TypeError, match="integer"):
+            compare_frequentist(1e6, 15, 20, [1.0], IDEAL_MODEL, 2.5)
+        runs = [run_campaign(CampaignConfig(master_seed=s, **cfg)) for s in (2, np.int64(2))]
+        bits = [[a.tobytes() for a in (r.eps_true, r.eps_hat, r.final_sigmas)] for r in runs]
+        assert bits[0] == bits[1]
+        np.testing.assert_array_equal(rng_for_run(np.int64(2), 3).random(8), rng_for_run(2, 3).random(8))
+        tracks = [closed_loop_track(NoiseProcess(), 8, 12, 7e-6, IDEAL_MODEL, s, repetitions=4)
+                  for s in (2, np.int64(2))]
+        fringes = [[r.flip_fractions.tobytes() for r in arms] for arms in tracks]
+        assert fringes[0] == fringes[1]
+
     @pytest.mark.parametrize("sigma", [1e-300, 1e-82, 1e-80, 1e100, 1e300], ids=str)
     def test_prior_outside_the_closed_form_range_rejected(self, sigma):
         # A finite, positive sigma whose sigma**4 is subnormal, underflows to 0 or
@@ -385,6 +406,9 @@ class TestClosedLoopTrack:
         noise = NoiseProcess(kind="quasistatic")
         with pytest.raises(ValueError):
             closed_loop_track(noise, 8, 1, 7e-6, IDEAL_MODEL, 0)
+        for n_shots in (-1, -2):  # -1 used to raise IndexError, -2 numpy's negative dimensions
+            with pytest.raises(ValueError, match=re.escape("n_shots must be >= 0")):
+                closed_loop_track(noise, n_shots, 50, 7e-6, IDEAL_MODEL, 0)
         with pytest.raises(ValueError):  # a Philox key, which seeds the rows, is < 2**128
             closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 2**128)
         with pytest.raises(ValueError):

@@ -29,17 +29,14 @@ from freqtrack.estimator import (
     update,
 )
 from freqtrack.experiments import (
-    _DEPLETION,
-    _READOUT,
     _TREE_DEPTH,
-    _TWO_PI,
     CampaignConfig,
     _lockstep,
     _outcome_tree,
     closed_loop_track,
     run_campaign,
 )
-from freqtrack.qubitsim import NoiseProcess
+from freqtrack.qubitsim import DEPLETION_TIME, READOUT_TIME, NoiseProcess
 
 # Every posterior variance is at least this fraction of the prior's: the
 # reduction is (beta/bias)^2 x^2 exp(-x^2) sigma^2 with x = 2 pi sigma tau,
@@ -106,11 +103,11 @@ def test_impossible_variance_raises_in_both_forms(beta):
     # No valid model gets here, so a duck-typed one outside LikelihoodModel's
     # checks stands in for a numerical fault: beta = 3 drives the variance
     # negative, beta = nan makes it nan.
-    # The array form also reads the model's -1/T and its two gains 2 pi m beta / (1 + m alpha),
+    # The array form also reads the model's 1/T and its two gains 2 pi m beta / (1 + m alpha),
     # the scalar form its factors (2 pi m beta, 1 + m alpha, its square) and (2 pi)^2 beta^2.
     gains = np.array([-TWO_PI * beta, TWO_PI * beta])
     model = SimpleNamespace(
-        alpha=0.0, beta=beta, inv_T=0.0, _neg_inv_T=np.array(-0.0), _gains=gains,
+        alpha=0.0, beta=beta, inv_T=0.0, _gains=gains,
         _up=(TWO_PI * beta, 1.0, 1.0), _down=(-TWO_PI * beta, 1.0, 1.0), _var_gain=TWO_PI**2 * beta**2,
     )
     sigma = 1e6
@@ -206,7 +203,7 @@ def test_lockstep_raises_on_the_same_shot_counts_as_run_estimation(n, ulps, sign
 def _lockstep_per_run(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None):
     # The lockstep loop as it was before the outcome tree: every shot computes tau, the
     # amplitude and the mean step from each run's carried variance.  sigma is an array.
-    beta, neg_inv_T = np.array(truth_model.beta), truth_model._neg_inv_T
+    beta, neg_rate = np.array(truth_model.beta), np.array(-truth_model.inv_T)
     eps_true = eps
     if z is not None:
         comp = noise.transition(0.0, 0.0, z[0])
@@ -219,10 +216,10 @@ def _lockstep_per_run(mu, sigma, eps, u, truth_model, update_model, noise=None, 
         if (shot == last or shot % 512 == 511) and not _sigma_in_range(math.sqrt(var.min())):
             raise NumericalConsistencyError(f"sigma**4 is subnormal (sigma={math.sqrt(var.min())})")
         tau = _optimal_tau_vec(var, update_model)
-        up = beta * np.exp(tau * neg_inv_T) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
+        up = beta * np.exp(tau * neg_rate) * np.sin(TWO_PI * (mu - eps_true) * tau) < threshold
         mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
         if z is not None:
-            cycle = (tau + _READOUT) + _DEPLETION  # cycle_duration, elementwise
+            cycle = (tau + READOUT_TIME) + DEPLETION_TIME  # cycle_duration, elementwise
             comp = noise.transition(comp, noise.decay(cycle[:, None]), z[shot + 1])
             eps_true = eps + comp.sum(axis=1)
     return mu, np.sqrt(var), eps_true
@@ -376,7 +373,7 @@ class TestOutcomeTreeCache:
         shapes = [(2**s, noise.rates.size) for s in range(4)]
         assert [d.shape for d in decays] == [k.shape for k in kicks] == shapes
         for tau, decay, kick in zip(taus, decays, kicks):  # over the node's cycle_duration
-            cycle = ((tau + _READOUT) + _DEPLETION)[:, None]
+            cycle = ((tau + READOUT_TIME) + DEPLETION_TIME)[:, None]
             np.testing.assert_array_equal(decay, noise.decay(cycle))
             np.testing.assert_array_equal(kick, noise.innovation(decay))
             for table in (decay, kick):

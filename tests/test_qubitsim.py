@@ -106,17 +106,15 @@ class TestNoiseProcess:
 
     @pytest.mark.parametrize("kind", ["quasistatic", "ou_drift", "one_over_f"])
     def test_decay_is_exp_of_minus_rate_dt(self, kind):
-        # decay reads the negated rates set once; the factors must be the same doubles.
+        # decay negates dt, not the rates set once; products are sign-symmetric, so the doubles agree.
         proc, dt = NoiseProcess(kind=kind), np.linspace(3.5e-6, 2e-3, 20)[:, None]
         np.testing.assert_array_equal(proc.decay(dt), np.exp(-proc.rates * dt))
 
     @pytest.mark.parametrize("kind", ["quasistatic", "ou_drift", "one_over_f"])
     def test_transition_reads_read_only_constants_and_keeps_its_doubles(self, kind):
-        # transition's operands are 0-d arrays set once; the public variance stays a float.
+        # decay and transition read the read-only rates and the float variance, both set once.
         proc = NoiseProcess(kind=kind)
-        consts = (proc._neg_rates, proc._one, proc._component_variance)
-        assert all(a.dtype == np.float64 and not a.flags.writeable for a in consts)
-        assert proc._one.shape == proc._component_variance.shape == ()
+        assert proc.rates.dtype == np.float64 and not proc.rates.flags.writeable
         assert type(proc.component_variance) is float
         rng = np.random.default_rng(5)
         comp, z = rng.normal(0.0, 2e4, (20, proc.rates.size)), rng.standard_normal((20, proc.rates.size))
@@ -136,8 +134,7 @@ class TestNoiseProcess:
         decay = proc.decay(np.linspace(3.5e-6, 2e-3, 20)[:, None])
         for twin in (proc, pickle.loads(pickle.dumps(proc)), copy.deepcopy(proc)):
             assert twin == proc and twin.component_variance == proc.component_variance
-            arrays = (twin.rates, twin._neg_rates, twin._one, twin._component_variance)
-            assert all(a.dtype == np.float64 and not a.flags.writeable for a in arrays)
+            assert twin.rates.dtype == np.float64 and not twin.rates.flags.writeable
             np.testing.assert_array_equal(twin.rates, proc.rates)
             np.testing.assert_array_equal(twin.transition(comp, decay, z), proc.transition(comp, decay, z))
 
