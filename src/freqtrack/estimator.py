@@ -148,14 +148,15 @@ def optimal_tau(sigma: float, T: float) -> float:
 
     tau = (sqrt(16 pi^2 sigma^2 + 1/T^2) - 1/T) / (8 pi^2 sigma^2), evaluated
     in the cancellation-free form 2 / (sqrt(...) + 1/T).  Limits: 1/(2 pi sigma)
-    for T -> inf, and T for sigma -> 0.
+    for T -> inf, and T for sigma -> 0.  A sigma whose square underflows to
+    zero, or for which 16 pi^2 sigma^2 overflows (from 2**508 on), raises ValueError.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (0.0 < sigma < 2.0**508 and (var := sigma**2) > 0.0):
+        raise ValueError(f"sigma must be in (0, 2**508) with a nonzero square, got {sigma}")
     if not T > 0.0:
         raise ValueError(f"T must be positive (may be inf), got {T}")
     inv_T = 0.0 if math.isinf(T) else 1.0 / T
-    return _optimal_tau(sigma**2, inv_T, inv_T**2)
+    return _optimal_tau(var, inv_T, inv_T**2)
 
 
 def _optimal_tau(var: float, inv_T: float, inv_T_sq: float) -> float:
@@ -298,10 +299,15 @@ def run_estimation(
 
     Each cycle recomputes (tau, delta_f) from the current (mu, sigma), carried
     as floats, obtains an outcome from `measure`, and applies the closed-form
-    update.  Returns the final belief and the full per-step trace.
+    update.  Returns the final belief and the full per-step trace.  A prior
+    sigma from 2**254 on, where (2 pi beta)^2 sigma^4 can overflow, raises
+    ValueError; one whose sigma**4 is subnormal raises
+    NumericalConsistencyError at its first shot, as update does.
     """
     if n_shots < 0:
         raise ValueError(f"n_shots must be >= 0, got {n_shots}")
+    if not prior.sigma < 2.0**254:  # sigma never grows: the first shot squares the largest
+        raise ValueError(f"prior sigma {prior.sigma}: (2 pi beta)^2 sigma^4 can overflow")
     mu, sigma = prior.mu, prior.sigma  # _posterior_moments keeps them valid
     inv_T, inv_T_sq = model.inv_T, model.inv_T_sq
     trace: list[StepRecord] = []

@@ -8,6 +8,7 @@ fixed-evolution-time frequentist baseline.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import operator
@@ -33,9 +34,11 @@ from .estimator import (
 )
 from .qubitsim import (
     DEPLETION_TIME,
+    OU_DRIFT,
     QUASISTATIC,
     READOUT_TIME,
     NoiseProcess,
+    _polar,
     rng_for_run,
     standard_normals,
 )
@@ -108,15 +111,26 @@ class ErrorStats:
         return float(np.mean(np.abs(self.errors) <= self.final_sigmas))
 
 
-#: Deepest outcome tree, in shots: its tables hold about (6 + 2k) * 2**depth doubles for a bank of
-#: k drift components (768 KiB at 14, and 1.5 MiB more for the default 6-component 1/f bank).
-_TREE_DEPTH = 14
+#: Largest outcome tree, in bytes: the default 6-component 1/f bank's tree at 14 levels.
+_TREE_BYTES = 9 * 2**18  # 2.25 MiB
+
+
+def _tree_depth(n: int, k: int) -> int:
+    """Levels tabulated for n shots: the most whose (6 + 2k) 2**depth doubles fit _TREE_BYTES."""
+    return min(n, (_TREE_BYTES // (8 * (6 + 2 * k))).bit_length() - 1)
 
 
 def _bank_step(noise, tau):
     """(decay, kick) of each component over each tau's cycle_duration: comp * decay + kick * z."""
     decay = noise.decay(((tau + READOUT_TIME) + DEPLETION_TIME)[:, None])
     return decay, noise.innovation(decay)
+
+
+@functools.lru_cache(maxsize=4)  # a hash, where rebuilding a process took 10-15 us a call
+def _bank(noise: NoiseProcess) -> NoiseProcess:
+    """noise with the fields its drift tables do not read at their defaults: one tree per bank."""
+    unread = ("octave_count", "band") if noise.kind == OU_DRIFT else ("correlation_time",)
+    return dataclasses.replace(noise, **{name: getattr(NoiseProcess, name) for name in unread})
 
 
 @functools.lru_cache(maxsize=4)  # the five commands use 3 trees
@@ -161,8 +175,10 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
     if z is not None:
         comp = noise.transition(0.0, 0.0, z[0])
         eps_true = eps + np.add.reduce(comp, 1)
-    n, node, depth = len(u), np.zeros(eps.shape, np.intp), min(len(u), _TREE_DEPTH)
-    tree = _outcome_tree(sigma0, depth, truth_model, update_model, noise if z is not None else None)
+    drift = _bank(noise) if z is not None else None
+    n, node = len(u), np.zeros(eps.shape, np.intp)
+    depth = _tree_depth(n, 0 if drift is None else drift.rates.size)
+    tree = _outcome_tree(sigma0, depth, truth_model, update_model, drift)
     taus, amps, steps, tree_var, *bank = tree  # bank: the drift tables, if z is given
 
     def var_at(shot):  # each run's variance entering the shot; past the tree it carries its own
@@ -203,7 +219,8 @@ def _rows(seed: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """
     stop = 2 + width
     block = rng_for_run(seed, 0).random((count, stop + -stop % 4))
-    return standard_normals(block[:, :2])[:, 0], block[:, 2:stop]
+    scale, t = _polar(block[:, 0], block[:, 1])
+    return scale * (1.0 - t * t), block[:, 2:stop]  # standard_normals' cosine half
 
 
 def _campaign(cfg: CampaignConfig, extra: int = 0) -> tuple[ErrorStats, np.ndarray]:

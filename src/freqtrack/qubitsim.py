@@ -9,6 +9,7 @@ synthesized as a sum of OU components with log-spaced rates.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,30 +27,56 @@ OU_DRIFT = "ou_drift"
 ONE_OVER_F = "one_over_f"
 
 
+@functools.cache  # on first use, so that importing the package does not load numpy.random
+def _key_only():
+    """An ISeedSequence that hands Philox a key's two 64-bit words, and nothing else."""
+
+    class KeyOnly(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: int):
+            self.words = [key & (2**64 - 1), key >> 64]
+
+        def generate_state(self, n_words, dtype=np.uint32):  # Philox asks for 2 uint64 words
+            return np.array(self.words, np.uint64)
+
+    return KeyOnly
+
+
 def rng_for_run(master_seed: int, run_index: int, width: int = 2**32) -> np.random.Generator:
     """The master seed's Philox stream from double run_index * width on.
 
     For a width that is a multiple of 4 (doubles per Philox block) this is row run_index of
     Generator(Philox(key=master_seed)).random((R, width)), for any R.  The default width exceeds any
     campaign row, so its streams do not overlap.  A seed of 2.5 raises TypeError; Philox would take 2.
+    Philox gets the key's words directly: Philox(key=s) would also draw OS entropy for a seed
+    sequence that a keyed stream never reads, which cost more than the rest of its construction.
     """
-    bits, offset = np.random.Philox(key=operator.index(master_seed)), run_index * width // 4
+    key = operator.index(master_seed)
+    if not 0 <= key < 2**128:
+        raise ValueError("key must be positive and less than 2**128.")  # as Philox(key=...) words it
+    bits, offset = np.random.Philox(_key_only()(key)), run_index * width // 4
     if offset:  # advance(0) moves nothing, and costs about a third of the stream's construction
         bits.advance(offset)
     return np.random.Generator(bits)
 
 
+def _polar(r: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(radius / (1 + t^2), t) of Box-Muller from uniforms r (radius) and a (angle 2 pi a - pi).
+
+    t is the tangent of the half angle, so the pair's cosine and sine normals are
+    scale * (1 - t^2) and scale * 2t; log1p(-r) keeps r = 0 finite.
+    """
+    t = np.tan(math.pi * (a - 0.5))
+    return np.sqrt(-2.0 * np.log1p(-r)) / (1.0 + t * t), t
+
+
 def standard_normals(u: np.ndarray) -> np.ndarray:
     """Box-Muller standard normals from 2p uniforms in [0, 1) along the last axis.
 
-    The first p set the radii (log1p(-u) keeps u = 0 finite) and the next p the
-    angles 2 pi u - pi.  Their p cosines come first, then their p sines, both as
-    (1 - t^2, 2t) / (1 + t^2) from one tangent t of the half angle.
+    The first p set the radii and the next p the angles (_polar).  Their p cosines
+    come first, then their p sines.
     """
     p = u.shape[-1] // 2
-    radius = np.sqrt(-2.0 * np.log1p(-u[..., :p]))
-    t = np.tan(math.pi * (u[..., p : 2 * p] - 0.5))
-    scale = radius / (1.0 + t * t)
+    scale, t = _polar(u[..., :p], u[..., p : 2 * p])
     return np.concatenate((scale * (1.0 - t * t), scale * (2.0 * t)), axis=-1)
 
 

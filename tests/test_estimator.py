@@ -207,6 +207,23 @@ class TestOptimalTau:
         with pytest.raises(ValueError):
             optimal_tau(-1.0, 1e-6)
 
+    @pytest.mark.parametrize(
+        "sigma,T",
+        [(math.inf, 1e-5), (math.nan, 1e-5), (1e200, 1e-5), (2.0**508, math.inf),
+         (1e-200, math.inf), (1e-200, 1e-5)],
+        ids=str,
+    )
+    def test_a_sigma_it_cannot_square_raises_value_error(self, sigma, T):
+        # They returned 0.0, raised OverflowError, or ZeroDivisionError (the last two pairs).
+        with pytest.raises(ValueError, match="nonzero square"):
+            optimal_tau(sigma, T)
+
+    def test_squares_at_the_ends_of_its_range(self):
+        big, small = math.nextafter(2.0**508, 0.0), 1e-160
+        assert optimal_tau(big, 1e-5) == pytest.approx(1.0 / (TWO_PI * big), rel=1e-12)
+        # small**2 is subnormal, 1e-320, so it keeps only about 5 significant digits
+        assert optimal_tau(small, math.inf) == pytest.approx(1.0 / (TWO_PI * small), rel=1e-5)
+
     def test_local_minimum_of_expected_posterior_variance(self):
         # Expected posterior variance, from the closed-form variance update,
         # must not beat the optimal tau at +-10% perturbations.
@@ -407,3 +424,20 @@ class TestRunEstimation:
     def test_negative_shot_count_rejected(self):
         with pytest.raises(ValueError):
             run_estimation(GaussianBelief(0.0, 1e6), -1, REFERENCE_MODEL, lambda p: 1)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e100, 2.0**254], ids=str)
+    @pytest.mark.parametrize("n_shots", [0, 3])
+    def test_a_prior_sigma_it_cannot_square_raises_before_any_shot(self, sigma, n_shots):
+        # 1e200 raised OverflowError at its first shot, as sigma**4 overflowed.
+        shots = []
+        prior = GaussianBelief(0.0, sigma)
+        with pytest.raises(ValueError, match="can overflow"):
+            run_estimation(prior, n_shots, REFERENCE_MODEL, lambda probe: shots.append(probe) or 1)
+        assert shots == []
+
+    def test_the_largest_prior_sigma_runs_and_a_subnormal_sigma_pow_4_still_raises(self):
+        sigma = math.nextafter(2.0**254, 0.0)
+        final, _ = run_estimation(GaussianBelief(0.0, sigma), 30, REFERENCE_MODEL, lambda p: 1)
+        assert 0.0 < final.sigma < sigma and math.isfinite(final.mu)
+        with pytest.raises(NumericalConsistencyError, match="subnormal"):
+            run_estimation(GaussianBelief(0.0, 1e-100), 3, REFERENCE_MODEL, lambda p: 1)

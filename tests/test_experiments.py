@@ -631,3 +631,10 @@ def test_import_leaves_scipy_optimize_unloaded():
     code = "import sys, freqtrack.experiments; assert 'scipy.optimize' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=str(Path(freqtrack.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # rng_for_run loads it on its first call; importing it costs about 11 ms.
+    code = "import sys, freqtrack.cli; assert 'numpy.random' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(Path(freqtrack.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

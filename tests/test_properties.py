@@ -29,10 +29,11 @@ from freqtrack.estimator import (
     update,
 )
 from freqtrack.experiments import (
-    _TREE_DEPTH,
+    _TREE_BYTES,
     CampaignConfig,
     _lockstep,
     _outcome_tree,
+    _tree_depth,
     closed_loop_track,
     run_campaign,
 )
@@ -42,6 +43,9 @@ from freqtrack.qubitsim import DEPLETION_TIME, READOUT_TIME, NoiseProcess
 # reduction is (beta/bias)^2 x^2 exp(-x^2) sigma^2 with x = 2 pi sigma tau,
 # beta <= 1 - |alpha| <= bias and x^2 exp(-x^2) <= 1/e.
 MIN_VARIANCE_RATIO = 1.0 - math.exp(-1.0)
+
+#: Levels of the outcome tree for a quasistatic campaign, or one with a one-component (OU) bank.
+CAP = 15
 
 
 @st.composite
@@ -191,7 +195,7 @@ def test_lockstep_raises_on_the_same_shot_counts_as_run_estimation(n, ulps, sign
     per_run = _raises_subnormal(
         lambda: _lockstep_per_run(zero, np.full(1, sigma0), zero, u, IDEAL_MODEL, IDEAL_MODEL)
     )
-    tabulated = _raises_subnormal(  # the first min(n, _TREE_DEPTH) shots from the tree
+    tabulated = _raises_subnormal(  # the first _tree_depth(n, 0) shots from the tree
         lambda: _lockstep(zero, sigma0, zero, u, IDEAL_MODEL, IDEAL_MODEL)
     )
     in_scalar_form = _raises_subnormal(
@@ -246,7 +250,7 @@ lockstep_models = st.one_of(models(), edge_models(), limit_models())
     lockstep_models,
     lockstep_models,
     st.floats(1e-3, 1e12),
-    st.integers(0, _TREE_DEPTH + 3),
+    st.integers(0, CAP + 3),
     st.sampled_from((None, "ou_drift", "one_over_f")),
     st.integers(0, 2**32),
 )
@@ -266,7 +270,7 @@ def test_tabulated_lockstep_equals_the_per_run_loop(truth, update_model, sigma0,
         assert _bits(_lockstep(mu, sigma0, eps, u, truth, update_model, noise, z)) == per_run
 
 
-@pytest.mark.parametrize("n", [3, _TREE_DEPTH + 2])
+@pytest.mark.parametrize("n", [3, CAP + 1])  # in the tree, and past it
 def test_flat_update_model_keeps_the_sign_of_each_zero_step(n):
     # At beta = 0 the steps are -0.0 (m = -1) and +0.0 (m = +1).  From mu = -0.0 a run stays at
     # -0.0 only if every step is -0.0: here runs 0-99 measure -1 on every shot, 100-199 +1, the
@@ -286,7 +290,7 @@ def test_flat_update_model_keeps_the_sign_of_each_zero_step(n):
     assert results == [results[0]] * 4  # beta = -0.0 gives beta = 0.0's bits
 
 
-@pytest.mark.parametrize("n", [2, 8, _TREE_DEPTH])
+@pytest.mark.parametrize("n", [2, 8, CAP - 1, CAP])  # CAP - 1: the 1/f cap
 def test_lockstep_checks_sigma_at_the_nodes_it_visits(n):
     # Under alpha < 0 an outcome of +1 reduces the variance more than -1, so the all +1 node
     # has the smallest variance entering the last shot.  sigma0 puts only that node's sigma**4
@@ -327,11 +331,11 @@ class TestOutcomeTreeCache:
         rng = np.random.default_rng(0)
         for noise in (None, NoiseProcess(kind="one_over_f")):  # a drifting bank's tables as well
             k = 0 if noise is None else noise.rates.size
-            for n in (0, 1, 5, _TREE_DEPTH, _TREE_DEPTH + 3):
+            for n in (0, 1, 5, CAP - 1, CAP, CAP + 3):  # the 1/f bank's cap is CAP - 1
                 z = None if noise is None else rng.standard_normal((n + 1, 3, k))
                 args = (rng.random((n, 3)), REFERENCE_MODEL, IDEAL_MODEL, noise, z)
                 _lockstep(np.zeros(3), 1e6, np.zeros(3), *args)
-                misses, depth = _outcome_tree.cache_info().misses, min(n, _TREE_DEPTH)
+                misses, depth = _outcome_tree.cache_info().misses, _tree_depth(n, k)
                 taus, amps, steps, var, *drift = _outcome_tree(
                     1e6, depth, REFERENCE_MODEL, IDEAL_MODEL, noise
                 )
@@ -380,11 +384,52 @@ class TestOutcomeTreeCache:
                 with pytest.raises(ValueError, match="read-only"):
                     table[0, 0] = 0.0
 
+    def test_depth_is_the_most_levels_within_the_byte_budget(self):
+        assert _tree_depth(CAP, 0) == _tree_depth(CAP, 1) == CAP
+        assert _tree_depth(CAP, 2) == _tree_depth(CAP, 6) == CAP - 1
+        assert _tree_depth(CAP, 7) == CAP - 2
+        assert [_tree_depth(n, 0) for n in (0, 1, 5, CAP + 5)] == [0, 1, 5, CAP]
+        for k in range(12):  # one more level would not fit
+            assert 8 * (6 + 2 * k) * 2 ** (_tree_depth(10**6, k) + 1) > _TREE_BYTES
+
+    @pytest.mark.parametrize(
+        "noise",
+        [None, NoiseProcess(kind="ou_drift"), NoiseProcess(kind="one_over_f", octave_count=3),
+         NoiseProcess(kind="one_over_f"), NoiseProcess(kind="one_over_f", octave_count=7)],
+        ids=["quasistatic", "ou", "one_over_f_3", "one_over_f_6", "one_over_f_7"],
+    )
+    def test_every_tree_lockstep_builds_fits_the_budget(self, noise):
+        prior = GaussianBelief(0.0, 1e6)
+        run_campaign(CampaignConfig(4, CAP + 2, prior, REFERENCE_MODEL, IDEAL_MODEL, noise))
+        k = 0 if noise is None else noise.rates.size
+        tree = _outcome_tree(1e6, _tree_depth(CAP + 2, k), REFERENCE_MODEL, IDEAL_MODEL, noise)
+        assert _outcome_tree.cache_info().misses == 1  # the tree the campaign built
+        assert len(tree[0]) == {0: CAP, 1: CAP, 3: CAP - 1, 6: CAP - 1, 7: CAP - 2}[k]
+        assert sum(level.nbytes for tables in tree for level in tables) <= _TREE_BYTES
+
+    def test_processes_with_one_bank_share_its_tree(self):
+        # Unequal processes whose drift tables read the same rates and component variance.
+        prior = GaussianBelief(0.0, 1e6)
+        pairs = [
+            (NoiseProcess(kind="ou_drift"), NoiseProcess(kind="ou_drift", band=(2.0, 1e5), octave_count=9)),
+            (NoiseProcess(kind="one_over_f"), NoiseProcess(kind="one_over_f", correlation_time=5e-3)),
+        ]
+        for first, second in pairs:
+            _outcome_tree.cache_clear()
+            assert first != second
+            np.testing.assert_array_equal(first.rates, second.rates)
+            bits = []
+            for noise in (first, second):
+                r = run_campaign(CampaignConfig(20, 16, prior, REFERENCE_MODEL, IDEAL_MODEL, noise, 3))
+                bits.append(_bits([r.eps_true, r.eps_hat, r.final_sigmas]))
+            assert _outcome_tree.cache_info().misses == 1
+            assert bits[0] == bits[1]
+
     def test_a_full_one_over_f_tree_stays_small(self):
         # (6 + 2k) 2**14 doubles for the default k = 6 bank; the cache holds up to 4 such trees.
         noise = NoiseProcess(kind="one_over_f")
-        tree = _outcome_tree(1e6, _TREE_DEPTH, REFERENCE_MODEL, IDEAL_MODEL, noise)
-        assert len(tree[0]) == _TREE_DEPTH
+        tree = _outcome_tree(1e6, _tree_depth(CAP, 6), REFERENCE_MODEL, IDEAL_MODEL, noise)
+        assert len(tree[0]) == CAP - 1
         assert sum(level.nbytes for tables in tree for level in tables) <= 2.5 * 2**20
 
     def test_tables_are_read_only(self):
@@ -419,12 +464,12 @@ class TestOutcomeTreeCache:
         [
             lambda prior: run_campaign(
                 CampaignConfig(
-                    300, _TREE_DEPTH + 5, prior, REFERENCE_MODEL, IDEAL_MODEL, master_seed=2
+                    300, CAP + 5, prior, REFERENCE_MODEL, IDEAL_MODEL, master_seed=2
                 )
             ),
             lambda prior: run_campaign(
                 CampaignConfig(
-                    100, _TREE_DEPTH + 2, prior, REFERENCE_MODEL, REFERENCE_MODEL,
+                    100, CAP + 2, prior, REFERENCE_MODEL, REFERENCE_MODEL,
                     NoiseProcess(kind="one_over_f"), master_seed=3,
                 )
             ),

@@ -4,6 +4,7 @@ import ast
 import copy
 import math
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,21 @@ class TestReproducibility:
         np.testing.assert_equal(
             rng_for_run(seed, 0).bit_generator.state, np.random.Philox(key=seed).state
         )
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1, 2**64, 2**127 + 3])
+    @pytest.mark.parametrize("run,width", [(1, 2**32), (17, 1000), (3, 12)])
+    def test_stream_is_the_keyed_philox_advanced_by_its_rows(self, seed, run, width):
+        # Philox gets the key's two words directly, and no seed sequence of OS entropy.
+        expected = np.random.Philox(key=seed)
+        expected.advance(run * width // 4)
+        rng = rng_for_run(seed, run, width)
+        np.testing.assert_equal(rng.bit_generator.state, expected.state)
+        np.testing.assert_array_equal(rng.random(9), np.random.Generator(expected).random(9))
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_keys_raises_value_error(self, seed):
+        with pytest.raises(ValueError, match=re.escape("less than 2**128")):
+            rng_for_run(seed, 0)
 
 
 #: numpy.random's stream and bit-generator constructors.
