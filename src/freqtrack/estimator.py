@@ -28,8 +28,8 @@ _SIXTEEN_PI_SQ = 16.0 * math.pi**2
 _NORMAL_MIN = 2.0**-1022  # sys.float_info.min, the smallest normal double
 
 
-def _sigma_in_range(sigma: float) -> bool:  # sigma**4 (hence sigma**2) finite and normal
-    return 0.0 < sigma < 2.0**256 and sigma**4 >= _NORMAL_MIN  # overflows from 2**256 on
+def _sigma_in_range(sigma: float) -> bool:  # a GaussianBelief's sigma whose sigma**4 is normal
+    return 0.0 < sigma < 2.0**254 and sigma**4 >= _NORMAL_MIN
 
 
 # A posterior variance below this fraction of the prior's is a numerical fault;
@@ -39,11 +39,6 @@ VARIANCE_FLOOR_REL = 1e-12
 
 def _arrays(*values) -> list[np.ndarray]:  # numpy converts a Python-float operand on every call
     return [np.broadcast_to(np.asarray(v, np.float64), np.shape(v)) for v in values]  # read-only
-
-
-_TWO, _SIXTEEN_PI_SQ_A, _HALF_TWO_PI_SQ_A, _FLOOR_A = _arrays(
-    2.0, _SIXTEEN_PI_SQ, _HALF_TWO_PI_SQ, VARIANCE_FLOOR_REL
-)
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -58,8 +53,8 @@ class GaussianBelief:
     sigma: float
 
     def __init__(self, mu: float, sigma: float):
-        if not (sigma > 0.0 and math.isfinite(sigma)):
-            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+        if not 0.0 < sigma < 2.0**254:  # from 2**254 on, (2 pi beta)^2 sigma^4 can overflow
+            raise ValueError(f"sigma must be in (0, 2**254), got {sigma}")
         if not math.isfinite(mu):
             raise ValueError(f"mu must be finite, got {mu}")
         d = self.__dict__
@@ -216,7 +211,7 @@ def _posterior_moments(
 
 def _optimal_tau_vec(var: np.ndarray, model: LikelihoodModel) -> np.ndarray:
     """optimal_tau on an array of variances sigma^2, for the model's T."""
-    return _TWO / (np.sqrt(_SIXTEEN_PI_SQ_A * var + model.inv_T_sq) + model.inv_T)
+    return 2.0 / (np.sqrt(_SIXTEEN_PI_SQ * var + model.inv_T_sq) + model.inv_T)
 
 
 def _posterior_moments_vec(
@@ -233,10 +228,10 @@ def _posterior_moments_vec(
     """
     if up.dtype != np.bool_:  # a take would read an outcome of -1 as the gain of +1
         raise TypeError(f"up must be a boolean array, got dtype {up.dtype}")
-    damp = np.exp(tau * -model.inv_T - _HALF_TWO_PI_SQ_A * var * tau**2)
+    damp = np.exp(tau * -model.inv_T - _HALF_TWO_PI_SQ * var * tau**2)
     step = model._gains.take(up) * var * tau * damp
     var_next = var - step * step
-    if not (var_next >= _FLOOR_A * var).all():
+    if not (var_next >= VARIANCE_FLOOR_REL * var).all():
         raise NumericalConsistencyError(
             f"posterior variance {np.min(var_next)} is below the floor (model={model})"
         )
@@ -300,14 +295,11 @@ def run_estimation(
     Each cycle recomputes (tau, delta_f) from the current (mu, sigma), carried
     as floats, obtains an outcome from `measure`, and applies the closed-form
     update.  Returns the final belief and the full per-step trace.  A prior
-    sigma from 2**254 on, where (2 pi beta)^2 sigma^4 can overflow, raises
-    ValueError; one whose sigma**4 is subnormal raises
-    NumericalConsistencyError at its first shot, as update does.
+    whose sigma**4 is subnormal raises NumericalConsistencyError at its first
+    shot, as update does.
     """
     if n_shots < 0:
         raise ValueError(f"n_shots must be >= 0, got {n_shots}")
-    if not prior.sigma < 2.0**254:  # sigma never grows: the first shot squares the largest
-        raise ValueError(f"prior sigma {prior.sigma}: (2 pi beta)^2 sigma^4 can overflow")
     mu, sigma = prior.mu, prior.sigma  # _posterior_moments keeps them valid
     inv_T, inv_T_sq = model.inv_T, model.inv_T_sq
     trace: list[StepRecord] = []

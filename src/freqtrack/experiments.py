@@ -8,7 +8,6 @@ fixed-evolution-time frequentist baseline.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import operator
@@ -34,7 +33,6 @@ from .estimator import (
 )
 from .qubitsim import (
     DEPLETION_TIME,
-    OU_DRIFT,
     QUASISTATIC,
     READOUT_TIME,
     NoiseProcess,
@@ -75,7 +73,7 @@ class CampaignConfig:
         if not 0 <= operator.index(self.master_seed) < 2**128:  # the keys Philox accepts; 2.5 raises
             raise ValueError(f"master_seed must be >= 0 and < 2**128, got {self.master_seed}")
         if not _sigma_in_range(self.prior.sigma):
-            raise ValueError(f"prior sigma {self.prior.sigma}: sigma**4 is subnormal or infinite")
+            raise ValueError(f"prior sigma {self.prior.sigma}: sigma**4 is subnormal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,15 +124,8 @@ def _bank_step(noise, tau):
     return decay, noise.innovation(decay)
 
 
-@functools.lru_cache(maxsize=4)  # a hash, where rebuilding a process took 10-15 us a call
-def _bank(noise: NoiseProcess) -> NoiseProcess:
-    """noise with the fields its drift tables do not read at their defaults: one tree per bank."""
-    unread = ("octave_count", "band") if noise.kind == OU_DRIFT else ("correlation_time",)
-    return dataclasses.replace(noise, **{name: getattr(NoiseProcess, name) for name in unread})
-
-
 @functools.lru_cache(maxsize=4)  # the five commands use 3 trees
-def _outcome_tree(sigma0, depth, truth_model, update_model, drift):
+def _outcome_tree(sigma0, depth, truth_model, update_model, noise):
     """Per-shot tuples (taus, amps, steps, var[, decays, kicks]) of depth read-only levels.
 
     A run's node at shot s is its outcomes so far in binary (m = +1 is 1): level s holds the tau,
@@ -142,9 +133,7 @@ def _outcome_tree(sigma0, depth, truth_model, update_model, drift):
     child 2k + (m = +1), the array form at mu = -0.0 (so mu + step is the step).  For a drifting
     bank it also holds each node's decay over its cycle and innovation scale, (2**s, k) each.
     """
-    root = np.array([sigma0], np.float64) ** 2
-    root.flags.writeable = False  # read-only, as _arrays makes each level
-    tree = ([], [], [], [root]) + ([], []) * (drift is not None)
+    tree = ([], [], [], _arrays(np.array([sigma0], np.float64) ** 2)) + ([], []) * (noise is not None)
     for _ in range(depth):
         tau = _optimal_tau_vec(var := tree[3][-1], update_model)
         amp = truth_model.beta * np.exp(tau * -truth_model.inv_T)
@@ -153,7 +142,7 @@ def _outcome_tree(sigma0, depth, truth_model, update_model, drift):
             step[up::2], var_next[up::2] = _posterior_moments_vec(
                 -0.0, var, tau, np.full(var.size, up), update_model
             )
-        level = (tau, amp, step, var_next) + (_bank_step(drift, tau) if drift is not None else ())
+        level = (tau, amp, step, var_next) + (_bank_step(noise, tau) if noise is not None else ())
         for tables, table in zip(tree, _arrays(*level)):
             tables.append(table)
     return tuple(map(tuple, tree))
@@ -165,21 +154,19 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
     Shot s measures +1 where u[s] < P(+1) of the truth model, tested as the same event
     beta e^(-tau/T) sin(2 pi (mu - eps) tau) < 1 + alpha - 2 u[s], and applies the array
     closed form, read for the shots the outcome tree holds from each run's node.  Under a
-    drifting process (z given) the shift is eps plus the sum of the process's OU components,
+    drifting process (noise and z given) the shift is eps plus the sum of its OU components,
     which start stationary from the standard normals z[0] and step over each probing cycle
     with z[s + 1], by the decay and innovation scale the tree holds for the node probed.  All
     randomness comes in through u and z.
     """
-    beta, neg_rate = np.array(truth_model.beta), np.array(-truth_model.inv_T)
     eps_true = eps
-    if z is not None:
+    if noise is not None:
         comp = noise.transition(0.0, 0.0, z[0])
         eps_true = eps + np.add.reduce(comp, 1)
-    drift = _bank(noise) if z is not None else None
     n, node = len(u), np.zeros(eps.shape, np.intp)
-    depth = _tree_depth(n, 0 if drift is None else drift.rates.size)
-    tree = _outcome_tree(sigma0, depth, truth_model, update_model, drift)
-    taus, amps, steps, tree_var, *bank = tree  # bank: the drift tables, if z is given
+    depth = _tree_depth(n, 0 if noise is None else noise.rates.size)
+    tree = _outcome_tree(sigma0, depth, truth_model, update_model, noise)
+    taus, amps, steps, tree_var, *bank = tree  # bank: the drift tables, if noise is given
 
     def var_at(shot):  # each run's variance entering the shot; past the tree it carries its own
         return var if shot > depth else tree_var[shot].take(node)
@@ -193,7 +180,7 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
                 raise NumericalConsistencyError(f"sigma**4 is subnormal (sigma={sigma})")
         if shot < depth:
             tau = taus[shot].take(node)
-            if z is not None:  # the bank steps over the cycle of the node probed
+            if noise is not None:  # the bank steps over the cycle of the node probed
                 decay, kick = bank[0][shot].take(node, 0), bank[1][shot].take(node, 0)
             up = amps[shot].take(node) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
             node += node + up
@@ -201,11 +188,12 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
         else:
             var = var_at(shot)
             tau = _optimal_tau_vec(var, update_model)
-            up = beta * np.exp(tau * neg_rate) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
+            amp = truth_model.beta * np.exp(tau * -truth_model.inv_T)
+            up = amp * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
             mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
-            if z is not None:
+            if noise is not None:
                 decay, kick = _bank_step(noise, tau)
-        if z is not None:
+        if noise is not None:
             comp = comp * decay + kick * z[shot + 1]
             eps_true = eps + np.add.reduce(comp, 1)
     return mu, np.sqrt(var_at(n)), eps_true
@@ -236,8 +224,9 @@ def _campaign(cfg: CampaignConfig, extra: int = 0) -> tuple[ErrorStats, np.ndarr
     eps0 = cfg.prior.mu + cfg.prior.sigma * z0
     u = rest[:, :start].T
     z = standard_normals(rest[:, start:])[:, :drift].reshape(R, n + 1, k).swapaxes(0, 1) if k else None
+    noise = cfg.noise if k else None  # keys the tree: a quasistatic process shares None's
     mu0, sigma0 = np.full(R, cfg.prior.mu), cfg.prior.sigma
-    mu, sigma, eps_true = _lockstep(mu0, sigma0, eps0, u[:n], cfg.truth_model, cfg.update_model, cfg.noise, z)
+    mu, sigma, eps_true = _lockstep(mu0, sigma0, eps0, u[:n], cfg.truth_model, cfg.update_model, noise, z)
     return ErrorStats(eps_true, mu, sigma), u[n:]
 
 
@@ -357,7 +346,7 @@ def closed_loop_track(
     if noise.kind != QUASISTATIC:
         raise ValueError("closed_loop_track supports quasistatic noise only")
     if not _sigma_in_range(sigma0):
-        raise ValueError(f"sigma0 {sigma0}: sigma**4 is subnormal or infinite")
+        raise ValueError(f"sigma0 {sigma0}: not in (0, 2**254), or sigma**4 is subnormal")
 
     z0, rows = _rows(seed, repetitions, m_cycles * (n_shots + 1))
     eps = noise.sigma_eps * z0

@@ -284,6 +284,9 @@ class TestExitCodes:
             ["campaign", "--runs", "3", "--sigma0", "1e-300"],
             ["estimate", "--sigma0", "1e-80"],
             ["campaign", "--runs", "3", "--sigma0", "1e-80"],
+            # sigma0**4 is finite, but (2 pi beta)^2 sigma0^4 can overflow from 2**254 on
+            ["estimate", "--sigma0", "1e77"],
+            ["campaign", "--sigma0", "1e77"],
         ],
     )
     def test_out_of_bounds_exits_1_before_writing(self, argv, tmp_path, capsys):

@@ -100,10 +100,18 @@ VALUE_TYPES = [
 class TestValueTypes:
     """The per-shot value classes keep the frozen-dataclass contract with their own __init__."""
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    # From 2**254 on, (2 pi beta)^2 sigma^4 can overflow: design_probe and update raised
+    # OverflowError at 1e200.  No belief holds such a sigma, so neither meets one.
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 2.0**254, 1e77, 1e200])
     def test_belief_rejects_sigma(self, sigma):
-        with pytest.raises(ValueError, match=re.escape(f"sigma must be positive and finite, got {sigma}")):
+        with pytest.raises(ValueError, match=re.escape(f"sigma must be in (0, 2**254), got {sigma}")):
             GaussianBelief(0.0, sigma)
+
+    def test_design_probe_and_update_run_at_the_largest_sigma(self):
+        largest = GaussianBelief(0.0, math.nextafter(2.0**254, 0.0))
+        for m in (-1, 1):
+            after = update(largest, design_probe(largest, REFERENCE_MODEL), m, REFERENCE_MODEL)
+            assert 0.0 < after.sigma < largest.sigma and math.isfinite(after.mu)
 
     @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
     def test_belief_rejects_mu(self, mu):
@@ -428,10 +436,11 @@ class TestRunEstimation:
     @pytest.mark.parametrize("sigma", [1e200, 1e100, 2.0**254], ids=str)
     @pytest.mark.parametrize("n_shots", [0, 3])
     def test_a_prior_sigma_it_cannot_square_raises_before_any_shot(self, sigma, n_shots):
-        # 1e200 raised OverflowError at its first shot, as sigma**4 overflowed.
+        # 1e200 raised OverflowError at its first shot, as sigma**4 overflowed.  The belief
+        # rejects such a sigma, so no shot runs.
         shots = []
-        prior = GaussianBelief(0.0, sigma)
-        with pytest.raises(ValueError, match="can overflow"):
+        with pytest.raises(ValueError, match=re.escape("sigma must be in (0, 2**254)")):
+            prior = GaussianBelief(0.0, sigma)
             run_estimation(prior, n_shots, REFERENCE_MODEL, lambda probe: shots.append(probe) or 1)
         assert shots == []
 

@@ -50,7 +50,7 @@ from freqtrack.qubitsim import (
 
 class TestSigmaRange:
     @pytest.mark.parametrize(
-        "sigma", [1.3e-77, 1.0, 1e6, 1e76, math.nextafter(2.0**256, 0.0)], ids=str
+        "sigma", [1.3e-77, 1.0, 1e6, 1e76, math.nextafter(2.0**254, 0.0)], ids=str
     )
     def test_accepted(self, sigma):
         assert _sigma_in_range(sigma)
@@ -58,7 +58,8 @@ class TestSigmaRange:
 
     @pytest.mark.parametrize(
         "sigma",
-        [1e-300, 1e-82, 1e-80, 2.0**256, 1e100, 1e300, 0.0, -1.0, math.nan, math.inf],
+        [1e-300, 1e-82, 1e-80, 2.0**254, 1e77, math.nextafter(2.0**256, 0.0), 2.0**256, 1e100,
+         1e300, 0.0, -1.0, math.nan, math.inf],
         ids=str,
     )
     def test_rejected(self, sigma):
@@ -202,8 +203,9 @@ class TestCampaign:
     @pytest.mark.parametrize("sigma", [1e-300, 1e-82, 1e-80, 1e100, 1e300], ids=str)
     def test_prior_outside_the_closed_form_range_rejected(self, sigma):
         # A finite, positive sigma whose sigma**4 is subnormal, underflows to 0 or
-        # overflows: campaigns used to run it and report a final sigma of 0.0.
-        match = re.escape("sigma**4 is subnormal or infinite")
+        # overflows: campaigns used to run it and report a final sigma of 0.0.  The
+        # overflowing ones now raise at the belief, the rest at the config.
+        match = "sigma must be in" if sigma > 1.0 else re.escape("sigma**4 is subnormal")
         with pytest.raises(ValueError, match=match):
             CampaignConfig(
                 run_count=3,
@@ -418,8 +420,9 @@ class TestClosedLoopTrack:
                 NoiseProcess(kind="ou_drift"), 8, 50, 7e-6, IDEAL_MODEL, 0
             )
         # sigma0**4 subnormal used to run silently, and sigma0**2 overflowing to warn mid-run.
+        match = re.escape("not in (0, 2**254), or sigma**4 is subnormal")
         for sigma0 in (1e-80, 1e300):
-            with pytest.raises(ValueError, match=re.escape("sigma**4 is subnormal or infinite")):
+            with pytest.raises(ValueError, match=match):
                 closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 0, sigma0=sigma0)
 
 

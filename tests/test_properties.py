@@ -407,23 +407,25 @@ class TestOutcomeTreeCache:
         assert len(tree[0]) == {0: CAP, 1: CAP, 3: CAP - 1, 6: CAP - 1, 7: CAP - 2}[k]
         assert sum(level.nbytes for tables in tree for level in tables) <= _TREE_BYTES
 
-    def test_processes_with_one_bank_share_its_tree(self):
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (NoiseProcess(kind="ou_drift"), NoiseProcess(kind="ou_drift", band=(2.0, 1e5))),
+            (NoiseProcess(kind="ou_drift"), NoiseProcess(kind="ou_drift", octave_count=9)),
+            (NoiseProcess(kind="one_over_f"), NoiseProcess(kind="one_over_f", correlation_time=5e-3)),
+        ],
+        ids=["ou_band", "ou_octave_count", "one_over_f_correlation_time"],
+    )
+    def test_processes_with_one_bank_give_the_same_bits(self, first, second):
         # Unequal processes whose drift tables read the same rates and component variance.
         prior = GaussianBelief(0.0, 1e6)
-        pairs = [
-            (NoiseProcess(kind="ou_drift"), NoiseProcess(kind="ou_drift", band=(2.0, 1e5), octave_count=9)),
-            (NoiseProcess(kind="one_over_f"), NoiseProcess(kind="one_over_f", correlation_time=5e-3)),
-        ]
-        for first, second in pairs:
-            _outcome_tree.cache_clear()
-            assert first != second
-            np.testing.assert_array_equal(first.rates, second.rates)
-            bits = []
-            for noise in (first, second):
-                r = run_campaign(CampaignConfig(20, 16, prior, REFERENCE_MODEL, IDEAL_MODEL, noise, 3))
-                bits.append(_bits([r.eps_true, r.eps_hat, r.final_sigmas]))
-            assert _outcome_tree.cache_info().misses == 1
-            assert bits[0] == bits[1]
+        assert first != second
+        np.testing.assert_array_equal(first.rates, second.rates)
+        bits = []
+        for noise in (first, second):
+            r = run_campaign(CampaignConfig(20, 16, prior, REFERENCE_MODEL, IDEAL_MODEL, noise, 3))
+            bits.append(_bits([r.eps_true, r.eps_hat, r.final_sigmas]))
+        assert bits[0] == bits[1]
 
     def test_a_full_one_over_f_tree_stays_small(self):
         # (6 + 2k) 2**14 doubles for the default k = 6 bank; the cache holds up to 4 such trees.
