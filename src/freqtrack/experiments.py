@@ -33,10 +33,10 @@ from .estimator import (
 )
 from .qubitsim import (
     DEPLETION_TIME,
-    QUASISTATIC,
     READOUT_TIME,
     NoiseProcess,
     _polar,
+    cycle_duration,
     rng_for_run,
     standard_normals,
 )
@@ -148,25 +148,22 @@ def _outcome_tree(sigma0, depth, truth_model, update_model, noise):
     return tuple(map(tuple, tree))
 
 
-def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None):
-    """Estimations from the prior sigma0, one per array element: final (mu, sigma, shift).
+def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None, comp=None):
+    """Estimations from the prior sigma0, one per array element: final (mu, sigma, shift, comp).
 
     Shot s measures +1 where u[s] < P(+1) of the truth model, tested as the same event
     beta e^(-tau/T) sin(2 pi (mu - eps) tau) < 1 + alpha - 2 u[s], and applies the array
-    closed form, read for the shots the outcome tree holds from each run's node.  Under a
-    drifting process (noise and z given) the shift is eps plus the sum of its OU components,
-    which start stationary from the standard normals z[0] and step over each probing cycle
-    with z[s + 1], by the decay and innovation scale the tree holds for the node probed.  All
-    randomness comes in through u and z.
+    closed form, read for the shots the outcome tree holds from each run's node.  Given a bank
+    comp (R x k) of the drifting process noise's OU components, the shift is eps plus their sum,
+    and the bank steps over shot s's probing cycle with the standard normals z[s], by the decay
+    and innovation scale the tree holds for the node probed; the bank after the last shot is
+    handed back.  All randomness comes in through u, z and comp, and _lockstep draws none.
     """
-    eps_true = eps
-    if noise is not None:
-        comp = noise.transition(0.0, 0.0, z[0])
-        eps_true = eps + np.add.reduce(comp, 1)
+    eps_true = eps if comp is None else eps + np.add.reduce(comp, 1)
     n, node = len(u), np.zeros(eps.shape, np.intp)
-    depth = _tree_depth(n, 0 if noise is None else noise.rates.size)
-    tree = _outcome_tree(sigma0, depth, truth_model, update_model, noise)
-    taus, amps, steps, tree_var, *bank = tree  # bank: the drift tables, if noise is given
+    depth = _tree_depth(n, 0 if comp is None else comp.shape[1])
+    tree = _outcome_tree(sigma0, depth, truth_model, update_model, None if comp is None else noise)
+    taus, amps, steps, tree_var, *bank = tree  # drift tables if comp is given; else None's tree
 
     def var_at(shot):  # each run's variance entering the shot; past the tree it carries its own
         return var if shot > depth else tree_var[shot].take(node)
@@ -180,7 +177,7 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
                 raise NumericalConsistencyError(f"sigma**4 is subnormal (sigma={sigma})")
         if shot < depth:
             tau = taus[shot].take(node)
-            if noise is not None:  # the bank steps over the cycle of the node probed
+            if comp is not None:  # the bank steps over the cycle of the node probed
                 decay, kick = bank[0][shot].take(node, 0), bank[1][shot].take(node, 0)
             up = amps[shot].take(node) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
             node += node + up
@@ -191,42 +188,46 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None)
             amp = truth_model.beta * np.exp(tau * -truth_model.inv_T)
             up = amp * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
             mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
-            if noise is not None:
+            if comp is not None:
                 decay, kick = _bank_step(noise, tau)
-        if noise is not None:
-            comp = comp * decay + kick * z[shot + 1]
+        if comp is not None:
+            comp = comp * decay + kick * z[shot]
             eps_true = eps + np.add.reduce(comp, 1)
-    return mu, np.sqrt(var_at(n)), eps_true
+    return mu, np.sqrt(var_at(n)), eps_true, comp
 
 
-def _rows(seed: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(z, u): the prior normal z[i] and the `width` uniforms u[i] after it, for `count` rows.
+def _rows(seed: int, count: int, width: int, noise=None, steps=0):
+    """(z, u, comp, dz): per row i, the prior normal z[i], `width` uniforms u[i] and a drift bank.
 
     Row i of the block is the stream rng_for_run(seed, i, W): two uniforms for z[i], then u[i],
-    then padding to W, a multiple of 4 (doubles per Philox block).
+    then two per pair of the process's k (steps + 1) drift normals, then padding to W, a multiple
+    of 4 (doubles per Philox block).  The first k normals draw the bank's stationary start
+    comp[i]; dz[s, i] holds the k of step s.  comp and dz are None for a process with k = 0.
     """
-    stop = 2 + width
+    k = 0 if noise is None else noise.rates.size
+    drift = k * (steps + 1)
+    stop = 2 + width + drift + drift % 2
     block = rng_for_run(seed, 0).random((count, stop + -stop % 4))
     scale, t = _polar(block[:, 0], block[:, 1])
-    return scale * (1.0 - t * t), block[:, 2:stop]  # standard_normals' cosine half
+    z, u = scale * (1.0 - t * t), block[:, 2 : 2 + width]  # standard_normals' cosine half
+    if not k:
+        return z, u, None, None
+    dz = standard_normals(block[:, 2 + width : stop])[:, :drift].reshape(count, steps + 1, k)
+    return z, u, noise.transition(0.0, 0.0, dz[:, 0]), dz[:, 1:].swapaxes(0, 1)
 
 
 def _campaign(cfg: CampaignConfig, extra: int = 0) -> tuple[ErrorStats, np.ndarray]:
     """(stats, u_extra): every run of the campaign, in lockstep.
 
-    Run i's row (_rows) holds, after the prior normal's pair, one uniform per shot, `extra`
-    more (u_extra[:, i]), then two per pair of the k (n + 1) drift normals z.
+    Run i's row (_rows) holds one uniform per shot, `extra` more (u_extra[:, i]), then the drift
+    bank's normals for n steps.
     """
     n, R = cfg.n_shots, cfg.run_count
-    k = cfg.noise.rates.size if cfg.noise is not None else 0
-    start, drift = n + extra, k * (n + 1)
-    z0, rest = _rows(cfg.master_seed, R, start + drift + drift % 2)
+    z0, u, comp, z = _rows(cfg.master_seed, R, n + extra, cfg.noise, n)
     eps0 = cfg.prior.mu + cfg.prior.sigma * z0
-    u = rest[:, :start].T
-    z = standard_normals(rest[:, start:])[:, :drift].reshape(R, n + 1, k).swapaxes(0, 1) if k else None
-    noise = cfg.noise if k else None  # keys the tree: a quasistatic process shares None's
-    mu0, sigma0 = np.full(R, cfg.prior.mu), cfg.prior.sigma
-    mu, sigma, eps_true = _lockstep(mu0, sigma0, eps0, u[:n], cfg.truth_model, cfg.update_model, noise, z)
+    mu0, sigma0, u = np.full(R, cfg.prior.mu), cfg.prior.sigma, u.T
+    models = cfg.truth_model, cfg.update_model
+    mu, sigma, eps_true, _ = _lockstep(mu0, sigma0, eps0, u[:n], *models, cfg.noise, z, comp)
     return ErrorStats(eps_true, mu, sigma), u[n:]
 
 
@@ -325,15 +326,16 @@ def closed_loop_track(
 ) -> tuple[FringeRecord, FringeRecord]:
     """Interleaved estimation + verification fringes, with and without feedback.
 
-    Feedback arm: before each verification Ramsey shot at evolution time
-    tau_j, the shift is re-estimated with n_shots adaptive probes (prior mean
-    warm-started from the previous estimate) and the verification detuning is
-    offset so the expected total detuning is target_detuning.  The
-    feedback-off arm keeps the nominal frequency (assumes zero shift).  The
-    arms are paired: repetition r's row of one Philox block (_rows) holds the
-    normal of its quasistatic shift, then per cycle n_shots estimation
-    uniforms and one verification uniform that both arms use.  So the fringes,
-    averaged over repetitions advanced in lockstep, differ only by the feedback.
+    Feedback arm: before each verification Ramsey shot at evolution time tau_j, the shift is
+    re-estimated with n_shots adaptive probes (prior mean warm-started from the previous estimate)
+    and the verification detuning is offset so the expected total detuning is target_detuning.
+    The feedback-off arm keeps the nominal frequency (assumes zero shift).  The arms are paired:
+    repetition r's row of one Philox block (_rows) holds the normal of its quasistatic shift, then
+    per cycle n_shots estimation uniforms and one verification uniform that both arms use, then
+    a drifting process's normals: k for its bank's stationary start, then k per shot in the same
+    order.  The bank carries all of a drifting shift, across every cycle of the repetition, and
+    steps over each shot's cycle_duration.  So the fringes, averaged over repetitions advanced in
+    lockstep, differ only by the feedback.
     """
     if n_shots < 0:
         raise ValueError(f"n_shots must be >= 0, got {n_shots}")
@@ -343,22 +345,24 @@ def closed_loop_track(
         raise ValueError(f"tau_max must be positive, got {tau_max}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if noise.kind != QUASISTATIC:
-        raise ValueError("closed_loop_track supports quasistatic noise only")
     if not _sigma_in_range(sigma0):
         raise ValueError(f"sigma0 {sigma0}: not in (0, 2**254), or sigma**4 is subnormal")
 
-    z0, rows = _rows(seed, repetitions, m_cycles * (n_shots + 1))
-    eps = noise.sigma_eps * z0
+    shots = m_cycles * (n_shots + 1)
+    z0, rows, comp, dz = _rows(seed, repetitions, shots, noise, shots)
+    eps = noise.sigma_eps * z0 if comp is None else np.zeros(repetitions)  # or all in the bank
     u = rows.reshape(repetitions, m_cycles, n_shots + 1).transpose(1, 2, 0)  # cycle, variate, rep
     taus = np.linspace(tau_max / m_cycles, tau_max, m_cycles)
     flips = np.zeros((2, m_cycles))  # feedback arm, open arm
     mu_hat = np.zeros(repetitions)  # warm start carries across the M cycles of each repetition
     for j, tau_j in enumerate(taus):
-        mu_hat, _, _ = _lockstep(mu_hat, sigma0, eps, u[j, :-1], model, model)
+        z = None if comp is None else dz[j * (n_shots + 1) :]
+        mu_hat, _, shift, comp = _lockstep(mu_hat, sigma0, eps, u[j, :-1], model, model, noise, z, comp)
         for arm, offset in enumerate((mu_hat, 0.0)):  # the open arm's drive is not offset
             probe = ProbeSettings(tau_j, target_detuning + offset)
-            flips[arm, j] = np.mean(u[j, -1] < likelihood_probability(1, eps, probe, model))
+            flips[arm, j] = np.mean(u[j, -1] < likelihood_probability(1, shift, probe, model))
+        if comp is not None:  # the bank steps over the verification shot's cycle
+            comp = noise.transition(comp, noise.decay(cycle_duration(probe)), z[n_shots])
 
     return (
         FringeRecord(tau_values=taus, flip_fractions=flips[0], feedback=True),

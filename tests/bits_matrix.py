@@ -1,0 +1,84 @@
+"""Print one sha256 over the package's seeded outputs, to check that a change keeps every bit.
+
+Run it on two trees and compare the digests:
+
+    PYTHONPATH=src python tests/bits_matrix.py
+
+It hashes, in order:
+  - 1134 `run_campaign` results of 37 runs each (eps_true, eps_hat and final sigmas): the
+    reference, ideal and (alpha 0.1, beta 0.7, T 3 us) models as truth x update; no process,
+    quasistatic, default OU, default 1/f, OU with band (2, 1e5), OU with 9 octaves and 1/f
+    with a 5 ms correlation time; n in {0, 3, 14, 15, 16, 20}; seeds {0, 3, 2**70 + 5};
+  - quasistatic `closed_loop_track` fringes (n = 8, 50 cycles, 200 repetitions) at 3 seeds;
+  - every file the five subcommands write at their defaults, seeds 0 and 3, CSV and JSON.
+
+It prints the campaign matrix's own digest first (e9a6bc38...4a2e since it was set up), then
+the digest of all three.  The name keeps pytest from collecting it.  It takes a few seconds.
+"""
+
+import hashlib
+import itertools
+import sys
+import tempfile
+from pathlib import Path
+
+from freqtrack import cli
+from freqtrack.estimator import IDEAL_MODEL, REFERENCE_MODEL, GaussianBelief, LikelihoodModel
+from freqtrack.experiments import CampaignConfig, closed_loop_track, run_campaign
+from freqtrack.qubitsim import NoiseProcess
+
+MODELS = (REFERENCE_MODEL, IDEAL_MODEL, LikelihoodModel(alpha=0.1, beta=0.7, T=3e-6))
+PROCESSES = (
+    None,
+    NoiseProcess(),
+    NoiseProcess(kind="ou_drift"),
+    NoiseProcess(kind="one_over_f"),
+    NoiseProcess(kind="ou_drift", band=(2.0, 1e5)),
+    NoiseProcess(kind="ou_drift", octave_count=9),
+    NoiseProcess(kind="one_over_f", correlation_time=5e-3),
+)
+SHOTS = (0, 3, 14, 15, 16, 20)
+SEEDS = (0, 3, 2**70 + 5)
+
+
+def campaign_bits(digest) -> int:
+    prior = GaussianBelief(0.0, 1e6)
+    count = 0
+    for truth, update, noise, n, seed in itertools.product(MODELS, MODELS, PROCESSES, SHOTS, SEEDS):
+        stats = run_campaign(CampaignConfig(37, n, prior, truth, update, noise, seed))
+        for values in (stats.eps_true, stats.eps_hat, stats.final_sigmas):
+            digest.update(values.tobytes())
+        count += 1
+    return count
+
+
+def track_bits(digest) -> None:
+    for seed in (0, 1, 7):
+        for record in closed_loop_track(NoiseProcess(), 8, 50, 7e-6, IDEAL_MODEL, seed):
+            digest.update(record.tau_values.tobytes() + record.flip_fractions.tobytes())
+
+
+def cli_bits(digest) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, seed, fmt in itertools.product(cli.COMMANDS, (0, 3), ("csv", "json")):
+            out = Path(tmp, f"{command}-{seed}.{fmt}")
+            argv = [command, "--seed", str(seed), "--format", fmt, "--output", str(out)]
+            if cli.main(argv) != 0:
+                sys.exit(f"freqtrack {' '.join(argv)} failed")
+            for path in sorted(Path(tmp).iterdir()):
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+                path.unlink()
+
+
+def main() -> None:
+    matrix = hashlib.sha256()
+    campaigns = campaign_bits(matrix)
+    digest = hashlib.sha256(matrix.digest())
+    track_bits(digest)
+    cli_bits(digest)
+    print(f"{matrix.hexdigest()}  ({campaigns} campaigns)")
+    print(f"{digest.hexdigest()}  (the campaigns, 3 tracks, {len(cli.COMMANDS) * 4} CLI runs)")
+
+
+if __name__ == "__main__":
+    main()

@@ -386,23 +386,58 @@ class TestClosedLoopTrack:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_open_arm_rebuilt_from_each_repetitions_row(self, seed):
         # Repetition r reads rng_for_run(seed, r, W): two uniforms for its shift's normal, then
-        # per cycle n estimation uniforms and one verification uniform, padded to W, a multiple
-        # of 4 (here 42 doubles padded to 44).  The open arm flips where that uniform falls
-        # below P(+1) at the nominal detuning.
+        # per cycle n estimation uniforms and one verification uniform, then two per pair of a
+        # drifting bank's k normals, padded to W, a multiple of 4 (doubles per Philox block).
+        # The bank's first k normals draw its stationary start, then k step it over each shot's
+        # cycle: the estimation shots, then the verification shot, cycle after cycle.  The open
+        # arm flips where the verification uniform falls below P(+1) at the nominal detuning.
         n, m, reps, sigma_eps, tau_max = 3, 10, 30, 30e3, 7e-6
-        used = 2 + m * (n + 1)
-        width = used + -used % 4
-        assert (used, width) == (42, 44)
-        flips = np.zeros((reps, m), dtype=bool)
-        for r in range(reps):
-            row = rng_for_run(seed, r, width).random(width)
-            eps = sigma_eps * standard_normals(row[:2])[0]
-            for j, tau in enumerate(np.linspace(tau_max / m, tau_max, m)):
-                p_flip = likelihood_probability(1, eps, ProbeSettings(tau, 1e6), IDEAL_MODEL)
-                flips[r, j] = row[2 + j * (n + 1) + n] < p_flip
-        noise = NoiseProcess(kind="quasistatic", sigma_eps=sigma_eps)
-        _, open_loop = closed_loop_track(noise, n, m, tau_max, IDEAL_MODEL, seed, repetitions=reps)
-        np.testing.assert_array_equal(open_loop.flip_fractions, flips.mean(axis=0))
+        taus = np.linspace(tau_max / m, tau_max, m)
+        for noise, doubles in (
+            (NoiseProcess(kind="quasistatic", sigma_eps=sigma_eps), (42, 44)),
+            (NoiseProcess(kind="ou_drift", sigma_eps=sigma_eps, correlation_time=50e-6), (84, 84)),
+        ):
+            k = noise.rates.size
+            drift = k * (m * (n + 1) + 1)  # the bank's start, then one step per shot
+            used = 2 + m * (n + 1) + drift + drift % 2
+            width = used + -used % 4
+            assert (used, width) == doubles
+            flips = np.zeros((reps, m), dtype=bool)
+            for r in range(reps):
+                row = rng_for_run(seed, r, width).random(width)
+                shift = sigma_eps * standard_normals(row[:2])[0]
+                if k:  # the bank carries all of a drifting shift
+                    z = iter(standard_normals(row[2 + m * (n + 1) : used])[:drift].reshape(-1, k))
+                    bank = noise.transition(0.0, 0.0, next(z))
+                    shift = bank.sum()
+
+                def measure(probe):  # one shot at the shift, then the bank steps over its cycle
+                    nonlocal bank, shift
+                    outcome = sample_outcome(shift, probe, IDEAL_MODEL, shots)
+                    if k:
+                        bank = noise.transition(bank, noise.decay(cycle_duration(probe)), next(z))
+                        shift = bank.sum()
+                    return outcome
+
+                mu = 0.0
+                for j, tau in enumerate(taus):
+                    first = 2 + j * (n + 1)
+                    shots = SimpleNamespace(random=iter(row[first : first + n + 1]).__next__)
+                    prior = GaussianBelief(mu, 30e3)  # closed_loop_track's default sigma0
+                    mu = run_estimation(prior, n, IDEAL_MODEL, measure)[0].mu
+                    flips[r, j] = measure(ProbeSettings(tau, 1e6)) == 1  # the nominal detuning
+            _, open_loop = closed_loop_track(noise, n, m, tau_max, IDEAL_MODEL, seed, repetitions=reps)
+            np.testing.assert_array_equal(open_loop.flip_fractions, flips.mean(axis=0))
+
+    def test_open_arm_t2_under_ou_drift_is_the_predicted_one(self):
+        # Under OU drift much slower than a track (tau_c = 10 ms) each repetition's shift is
+        # nearly static and normal, so the open arm's fringe decays as exp(-(tau / T2)^2) with
+        # T2 = 1 / (sqrt(2) pi sigma_eps) = 7.50 us.  Medians over seeds 0-9: 7.31 us.
+        sigma_eps = 30e3
+        noise = NoiseProcess(kind="ou_drift", sigma_eps=sigma_eps, correlation_time=10e-3)
+        open_arms = [closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, seed)[1] for seed in range(10)]
+        t2 = [fit_fringe(record).t2 for record in open_arms]
+        assert np.median(t2) == pytest.approx(1.0 / (math.sqrt(2.0) * math.pi * sigma_eps), rel=0.05)
 
     def test_contracts(self):
         noise = NoiseProcess(kind="quasistatic")
@@ -415,10 +450,6 @@ class TestClosedLoopTrack:
             closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 2**128)
         with pytest.raises(ValueError):
             closed_loop_track(noise, 8, 50, -1.0, IDEAL_MODEL, 0)
-        with pytest.raises(ValueError):
-            closed_loop_track(
-                NoiseProcess(kind="ou_drift"), 8, 50, 7e-6, IDEAL_MODEL, 0
-            )
         # sigma0**4 subnormal used to run silently, and sigma0**2 overflowing to warn mid-run.
         match = re.escape("not in (0, 2**254), or sigma**4 is subnormal")
         for sigma0 in (1e-80, 1e300):

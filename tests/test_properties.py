@@ -166,7 +166,7 @@ def test_lockstep_outcome_is_u_below_the_truth_models_p_plus(truth, update_model
     p_plus = likelihood_probability(+1, eps, probe, truth)
     assume(abs(u - p_plus) > 1e-12)
     for _ in range(2):  # a new key's first call builds the outcome tree, the second reads it
-        mu_next, _, _ = _lockstep(
+        mu_next, *_ = _lockstep(
             np.array([mu]), sigma, np.array([eps]), np.array([[u]]), truth, update_model
         )
         assert (mu_next[0] > mu) == (u < p_plus)
@@ -204,14 +204,11 @@ def test_lockstep_raises_on_the_same_shot_counts_as_run_estimation(n, ulps, sign
     assert per_run == tabulated == in_scalar_form
 
 
-def _lockstep_per_run(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None):
+def _lockstep_per_run(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None, comp=None):
     # The lockstep loop as it was before the outcome tree: every shot computes tau, the
     # amplitude and the mean step from each run's carried variance.  sigma is an array.
     beta, neg_rate = np.array(truth_model.beta), np.array(-truth_model.inv_T)
-    eps_true = eps
-    if z is not None:
-        comp = noise.transition(0.0, 0.0, z[0])
-        eps_true = eps + comp.sum(axis=1)
+    eps_true = eps if comp is None else eps + comp.sum(axis=1)
     var = sigma**2  # carried through every shot; the square root is taken once at the end
     last = len(u) - 1
     for shot, threshold in enumerate((1.0 + truth_model.alpha) - 2.0 * u):
@@ -222,15 +219,15 @@ def _lockstep_per_run(mu, sigma, eps, u, truth_model, update_model, noise=None, 
         tau = _optimal_tau_vec(var, update_model)
         up = beta * np.exp(tau * neg_rate) * np.sin(TWO_PI * (mu - eps_true) * tau) < threshold
         mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
-        if z is not None:
+        if comp is not None:
             cycle = (tau + READOUT_TIME) + DEPLETION_TIME  # cycle_duration, elementwise
-            comp = noise.transition(comp, noise.decay(cycle[:, None]), z[shot + 1])
+            comp = noise.transition(comp, noise.decay(cycle[:, None]), z[shot])
             eps_true = eps + comp.sum(axis=1)
-    return mu, np.sqrt(var), eps_true
+    return mu, np.sqrt(var), eps_true, comp
 
 
-def _bits(arrays):
-    return [a.tobytes() for a in arrays]  # equal bytes: equal values, signs of zero included
+def _bits(arrays):  # equal bytes: equal values, signs of zero included; no bank stays None
+    return [a if a is None else a.tobytes() for a in arrays]
 
 
 @st.composite
@@ -259,15 +256,17 @@ def test_tabulated_lockstep_equals_the_per_run_loop(truth, update_model, sigma0,
     rng = np.random.default_rng(seed)
     mu = sigma0 * rng.standard_normal(runs)
     eps, u = mu + sigma0 * rng.standard_normal(runs), rng.random((n, runs))
-    noise = z = None
-    if kind is not None:
+    noise = z = comp = None
+    if kind is not None:  # a bank far from stationary, as a tracking cycle may hand on
         noise = NoiseProcess(kind=kind, sigma_eps=sigma0)
-        z = rng.standard_normal((n + 1, runs, noise.rates.size))
+        z = rng.standard_normal((n, runs, noise.rates.size))
+        comp = 10.0 * sigma0 * rng.standard_normal((runs, noise.rates.size)) + sigma0
     per_run = _bits(
-        _lockstep_per_run(mu, np.full(runs, sigma0), eps, u, truth, update_model, noise, z)
+        _lockstep_per_run(mu, np.full(runs, sigma0), eps, u, truth, update_model, noise, z, comp)
     )
+    assert (per_run[3] is None) == (kind is None)  # the bank handed back, compared bit for bit
     for _ in range(2):  # a first call builds the tree, the second reads it
-        assert _bits(_lockstep(mu, sigma0, eps, u, truth, update_model, noise, z)) == per_run
+        assert _bits(_lockstep(mu, sigma0, eps, u, truth, update_model, noise, z, comp)) == per_run
 
 
 @pytest.mark.parametrize("n", [3, CAP + 1])  # in the tree, and past it
@@ -332,8 +331,10 @@ class TestOutcomeTreeCache:
         for noise in (None, NoiseProcess(kind="one_over_f")):  # a drifting bank's tables as well
             k = 0 if noise is None else noise.rates.size
             for n in (0, 1, 5, CAP - 1, CAP, CAP + 3):  # the 1/f bank's cap is CAP - 1
-                z = None if noise is None else rng.standard_normal((n + 1, 3, k))
-                args = (rng.random((n, 3)), REFERENCE_MODEL, IDEAL_MODEL, noise, z)
+                z = comp = None
+                if noise is not None:
+                    z, comp = rng.standard_normal((n, 3, k)), rng.standard_normal((3, k))
+                args = (rng.random((n, 3)), REFERENCE_MODEL, IDEAL_MODEL, noise, z, comp)
                 _lockstep(np.zeros(3), 1e6, np.zeros(3), *args)
                 misses, depth = _outcome_tree.cache_info().misses, _tree_depth(n, k)
                 taus, amps, steps, var, *drift = _outcome_tree(
@@ -476,8 +477,17 @@ class TestOutcomeTreeCache:
                 )
             ),
             lambda prior: closed_loop_track(NoiseProcess(), 20, 12, 7e-6, REFERENCE_MODEL, 4, 50),
+            lambda prior: closed_loop_track(
+                NoiseProcess(kind="ou_drift"), 20, 12, 7e-6, REFERENCE_MODEL, 4, 50
+            ),
+            lambda prior: closed_loop_track(
+                NoiseProcess(kind="one_over_f"), 20, 12, 7e-6, REFERENCE_MODEL, 4, 50
+            ),
         ],
-        ids=["campaign_above_the_cap", "one_over_f_above_the_cap", "closed_loop_track"],
+        ids=[
+            "campaign_above_the_cap", "one_over_f_above_the_cap", "closed_loop_track",
+            "closed_loop_track_ou", "closed_loop_track_one_over_f",
+        ],
     )
     def test_callers_match_the_per_run_loop(self, run, monkeypatch):
         def bits(result):
