@@ -17,15 +17,7 @@ from .estimator import (
     update,
 )
 from .oracle import GridPosterior, from_gaussian, grid_update, kl_divergence, moments
-from .qubitsim import (
-    NoiseProcess,
-    QubitState,
-    cycle_duration,
-    initial_state,
-    rng_for_run,
-    sample_outcome,
-    step_noise,
-)
+from .qubitsim import NoiseProcess, cycle_duration, rng_for_run, sample_outcome
 
 __version__ = "0.1.0"
 
@@ -39,13 +31,11 @@ __all__ = [
     "NoiseProcess",
     "NumericalConsistencyError",
     "ProbeSettings",
-    "QubitState",
     "StepRecord",
     "cycle_duration",
     "design_probe",
     "from_gaussian",
     "grid_update",
-    "initial_state",
     "kl_divergence",
     "likelihood_probability",
     "moments",
@@ -54,6 +44,5 @@ __all__ = [
     "rng_for_run",
     "run_estimation",
     "sample_outcome",
-    "step_noise",
     "update",
 ]

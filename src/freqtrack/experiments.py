@@ -307,10 +307,10 @@ class FringeRecord:
     feedback: bool
 
     def __post_init__(self):
-        if self.tau_values.shape != self.flip_fractions.shape:
-            raise ValueError("tau_values and flip_fractions must have equal length")
-        if np.any((self.flip_fractions < 0) | (self.flip_fractions > 1)):
-            raise ValueError("flip fractions must lie in [0, 1]")
+        if self.tau_values.ndim != 1 or self.tau_values.shape != self.flip_fractions.shape:
+            raise ValueError("tau_values and flip_fractions must be 1-D arrays of equal length")
+        if not np.all((self.flip_fractions >= 0) & (self.flip_fractions <= 1)):  # nan fails too
+            raise ValueError("flip fractions must be finite and lie in [0, 1]")
 
 
 def closed_loop_track(
@@ -401,9 +401,10 @@ def _fringe_model(tau, c, A, t2, f, phi):
 def fit_fringe(record: FringeRecord) -> FringeFit:
     """Fit a Gaussian-envelope decaying cosine to an averaged fringe.
 
-    Start values: frequency from the discrete Fourier peak, amplitude from
-    half the record's range, T2 from half the span.  A flat record is
-    reported as unidentifiable rather than fitted.
+    The record needs >= 10 points with tau increasing in equal steps, as
+    np.linspace lays them out.  Start values: frequency from the discrete
+    Fourier peak, amplitude from half the record's range, T2 from half the
+    span.  A flat record is reported as unidentifiable rather than fitted.
     """
     from scipy.optimize import curve_fit
 
@@ -411,6 +412,9 @@ def fit_fringe(record: FringeRecord) -> FringeFit:
     y = np.asarray(record.flip_fractions, dtype=float)
     if tau.size < 10:
         raise ValueError(f"need >= 10 points to fit a fringe, got {tau.size}")
+    steps = np.diff(tau)
+    if not (steps.min() > 0.0 and np.allclose(steps, steps[0], rtol=1e-6, atol=0.0)):
+        raise ValueError("tau_values must increase in equal steps")
 
     span = float(tau[-1] - tau[0])
     amp0 = float(y.max() - y.min()) / 2.0
@@ -428,12 +432,10 @@ def fit_fringe(record: FringeRecord) -> FringeFit:
         )
 
     # Frequency seed from the dominant nonzero DFT bin (uniform tau grid).
-    dt = float(tau[1] - tau[0])
+    dt = float(steps[0])
     spectrum = np.abs(np.fft.rfft(y - y.mean()))
     freqs = np.fft.rfftfreq(tau.size, d=dt)
     f0 = float(freqs[1:][np.argmax(spectrum[1:])])
-    if f0 <= 0.0:
-        f0 = 1.0 / span
     p0 = [float(y.mean()), amp0, span / 2.0, f0, 0.0]
 
     try:

@@ -146,39 +146,18 @@ class NoiseProcess:
         return np.sqrt(self.component_variance * (1.0 - decay**2))
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """Simulated qubit: true shift and noise internals."""
-
-    eps_true: float = 0.0
-    components: tuple[float, ...] = ()
+def initial_state(process: NoiseProcess, rng: np.random.Generator) -> np.ndarray:
+    """A stationary bank of the process's components, whose sum is the shift; empty if quasistatic."""
+    return process.transition(0.0, 0.0, rng.standard_normal(process.rates.size))
 
 
-def initial_state(process: NoiseProcess, rng: np.random.Generator) -> QubitState:
-    """Draw a stationary starting state for the given noise process."""
-    if process.kind == QUASISTATIC:
-        eps = float(rng.normal(0.0, process.sigma_eps)) if process.sigma_eps > 0 else 0.0
-        return QubitState(eps_true=eps)
-    comp = process.transition(0.0, 0.0, rng.standard_normal(process.rates.size))
-    return QubitState(eps_true=float(comp.sum()), components=tuple(comp.tolist()))
-
-
-def step_noise(
-    process: NoiseProcess, state: QubitState, dt: float, rng: np.random.Generator
-) -> QubitState:
-    """Advance the true shift by dt; quasistatic shifts stay put within a run."""
-    if dt < 0.0:
+def step_noise(process: NoiseProcess, bank: np.ndarray, dt: float, rng: np.random.Generator) -> np.ndarray:
+    """The bank advanced by dt: one exact OU transition, as the lockstep steps a batch of banks."""
+    if not dt >= 0.0:  # nan too: it would turn the bank into nan
         raise ValueError(f"dt must be >= 0, got {dt}")
-    if len(state.components) != process.rates.size:
-        raise ValueError(
-            f"state has {len(state.components)} noise components, the process {process.rates.size}"
-        )
-    if process.kind == QUASISTATIC or dt == 0.0:
-        return state
-    comp = process.transition(
-        np.asarray(state.components), process.decay(dt), rng.standard_normal(process.rates.size)
-    )
-    return QubitState(eps_true=float(comp.sum()), components=tuple(comp.tolist()))
+    if np.shape(bank) != process.rates.shape:
+        raise ValueError(f"bank of shape {np.shape(bank)}, process of {process.rates.size} noise components")
+    return process.transition(bank, process.decay(dt), rng.standard_normal(process.rates.size))
 
 
 def sample_outcome(

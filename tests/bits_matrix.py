@@ -10,10 +10,12 @@ It hashes, in order:
     quasistatic, default OU, default 1/f, OU with band (2, 1e5), OU with 9 octaves and 1/f
     with a 5 ms correlation time; n in {0, 3, 14, 15, 16, 20}; seeds {0, 3, 2**70 + 5};
   - quasistatic `closed_loop_track` fringes (n = 8, 50 cycles, 200 repetitions) at 3 seeds;
-  - every file the five subcommands write at their defaults, seeds 0 and 3, CSV and JSON.
+  - every file the five subcommands write at their defaults, seeds 0 and 3, CSV and JSON;
+  - default OU and 1/f `closed_loop_track` fringes, the same tracks otherwise, on their own.
 
 It prints the campaign matrix's own digest first (e9a6bc38...4a2e since it was set up), then
-the digest of all three.  The name keeps pytest from collecting it.  It takes a few seconds.
+the digest of the first three (3b20ef27...0f05), then the drift tracks' digest.  The name keeps
+pytest from collecting it.  It takes a few seconds.
 """
 
 import hashlib
@@ -52,9 +54,9 @@ def campaign_bits(digest) -> int:
     return count
 
 
-def track_bits(digest) -> None:
+def track_bits(digest, noise=NoiseProcess()) -> None:
     for seed in (0, 1, 7):
-        for record in closed_loop_track(NoiseProcess(), 8, 50, 7e-6, IDEAL_MODEL, seed):
+        for record in closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, seed):
             digest.update(record.tau_values.tobytes() + record.flip_fractions.tobytes())
 
 
@@ -76,8 +78,12 @@ def main() -> None:
     digest = hashlib.sha256(matrix.digest())
     track_bits(digest)
     cli_bits(digest)
+    drift = hashlib.sha256()
+    for kind in ("ou_drift", "one_over_f"):
+        track_bits(drift, NoiseProcess(kind=kind))
     print(f"{matrix.hexdigest()}  ({campaigns} campaigns)")
     print(f"{digest.hexdigest()}  (the campaigns, 3 tracks, {len(cli.COMMANDS) * 4} CLI runs)")
+    print(f"{drift.hexdigest()}  (3 OU and 3 1/f tracks)")
 
 
 if __name__ == "__main__":

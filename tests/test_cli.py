@@ -121,6 +121,19 @@ class TestScenarioResolution:
         assert "freqtrack:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "is not valid JSON"), ("[1, 2]", "must hold a JSON object")],
+        ids=["invalid", "not_an_object"],
+    )
+    def test_unreadable_config_rejected(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(cfg), "--output", str(out / "o.csv")]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_null_eps_true_draws_from_prior(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"eps_true": None, "n": 2}))

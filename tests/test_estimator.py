@@ -214,6 +214,9 @@ class TestOptimalTau:
             optimal_tau(0.0, 1e-6)
         with pytest.raises(ValueError):
             optimal_tau(-1.0, 1e-6)
+        for T in (0.0, -1e-6, math.nan):
+            with pytest.raises(ValueError, match="T must be positive"):
+                optimal_tau(1e6, T)
 
     @pytest.mark.parametrize(
         "sigma,T",

@@ -450,6 +450,8 @@ class TestClosedLoopTrack:
             closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 2**128)
         with pytest.raises(ValueError):
             closed_loop_track(noise, 8, 50, -1.0, IDEAL_MODEL, 0)
+        with pytest.raises(ValueError, match=re.escape("repetitions must be >= 1")):
+            closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 0, repetitions=0)
         # sigma0**4 subnormal used to run silently, and sigma0**2 overflowing to warn mid-run.
         match = re.escape("not in (0, 2**254), or sigma**4 is subnormal")
         for sigma0 in (1e-80, 1e300):
@@ -482,6 +484,52 @@ class TestFitFringe:
         with pytest.raises(ValueError):
             fit_fringe(FringeRecord(tau_values=taus, flip_fractions=np.zeros(5), feedback=True))
 
+    @pytest.mark.parametrize("grid", ["reversed track", "sorted random", "repeated"])
+    def test_tau_must_increase_in_equal_steps(self, grid):
+        # Each used to fail late or not at all: scipy's "Each lower bound must be strictly less than
+        # each upper bound" (reversed), a 2.31 MHz fit of a 1 MHz fringe (random), ZeroDivisionError.
+        if grid == "reversed track":
+            record = closed_loop_track(NoiseProcess(), 8, 50, 7e-6, IDEAL_MODEL, 0)[0]
+            taus, y = record.tau_values[::-1], record.flip_fractions[::-1]
+        else:
+            if grid == "sorted random":
+                taus = np.sort(np.random.default_rng(11).uniform(1e-7, 8e-6, 50))
+            else:
+                taus = np.repeat(np.linspace(1e-7, 8e-6, 25), 2)
+            y = 0.5 + 0.45 * np.exp(-((taus / 5e-6) ** 2)) * np.cos(2 * np.pi * 1e6 * taus)
+        with pytest.raises(ValueError, match="tau_values must increase in equal steps"):
+            fit_fringe(FringeRecord(tau_values=taus, flip_fractions=y, feedback=True))
+
+    def test_fit_that_fails_to_converge_raises_fit_error(self, monkeypatch):
+        import scipy.optimize
+
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found")
+
+        monkeypatch.setattr(scipy.optimize, "curve_fit", no_convergence)
+        taus = np.linspace(1e-7, 8e-6, 40)
+        y = 0.5 + 0.45 * np.cos(2 * np.pi * 1e6 * taus)
+        match = r"fringe fit failed to converge \(start residual rms .+\): Optimal parameters not found"
+        with pytest.raises(experiments.FitError, match=match):
+            fit_fringe(FringeRecord(tau_values=taus, flip_fractions=y, feedback=True))
+
+
+class TestFringeRecord:
+    @pytest.mark.parametrize(
+        "taus, flips, match",
+        [
+            (np.linspace(1e-7, 8e-6, 10), np.full(9, 0.5), "1-D arrays of equal length"),
+            (np.ones((2, 5)), np.full((2, 5), 0.5), "1-D arrays of equal length"),  # fit: TypeError
+            (np.linspace(1e-7, 8e-6, 10), np.full(10, math.nan), "finite and lie in"),  # used to pass
+            (np.linspace(1e-7, 8e-6, 10), np.linspace(-0.1, 0.9, 10), "finite and lie in"),
+            (np.linspace(1e-7, 8e-6, 10), np.linspace(0.2, 1.2, 10), "finite and lie in"),
+        ],
+        ids=["lengths", "2-D", "nan", "below 0", "above 1"],
+    )
+    def test_contracts(self, taus, flips, match):
+        with pytest.raises(ValueError, match=match):
+            FringeRecord(tau_values=taus, flip_fractions=flips, feedback=True)
+
 
 class TestWarmStartTracking:
     def test_tracks_slow_drift(self):
@@ -492,18 +540,18 @@ class TestWarmStartTracking:
         model = LikelihoodModel(alpha=0.0, beta=1.0, T=10e-6)
         noise = NoiseProcess(kind="ou_drift", sigma_eps=30e3, correlation_time=6e-3)
         rng = np.random.default_rng(9)
-        state = initial_state(noise, rng)
+        bank = initial_state(noise, rng)
         mu_hat, sigma0 = 0.0, 30e3
         errors = []
         for _ in range(300):
             belief = GaussianBelief(mu_hat, sigma0)
             for _ in range(8):
                 probe = design_probe(belief, model)
-                m = sample_outcome(state.eps_true, probe, model, rng)
+                m = sample_outcome(float(bank.sum()), probe, model, rng)
                 belief = update(belief, probe, m, model)
-                state = step_noise(noise, state, cycle_duration(probe), rng)
+                bank = step_noise(noise, bank, cycle_duration(probe), rng)
             mu_hat = belief.mu
-            errors.append(abs(mu_hat - state.eps_true))
+            errors.append(abs(mu_hat - bank.sum()))
         assert float(np.median(errors)) < 15e3
 
 
@@ -595,21 +643,22 @@ class TestCompareFrequentist:
             assert abs(stats.final_sigmas[i] - final_sigma) <= tol
 
     @pytest.mark.parametrize(
-        "model, mults",
+        "model, mults, shots, match",
         [
-            (LikelihoodModel(alpha=0.0, beta=0.0, T=math.inf), [1.0]),
+            (LikelihoodModel(alpha=0.0, beta=0.0, T=math.inf), [1.0], 15, "slope"),
             # e^(-tau/T) underflows at x10000
-            (LikelihoodModel(alpha=-0.02, beta=0.6, T=1e-6), [1.0, 10000.0]),
+            (LikelihoodModel(alpha=-0.02, beta=0.6, T=1e-6), [1.0, 10000.0], 15, "slope"),
+            (IDEAL_MODEL, [1.0], 0, re.escape("shots must be >= 1")),
         ],
-        ids=["beta_0", "underflow"],
+        ids=["beta_0", "underflow", "no_shots"],
     )
-    def test_no_slope_raises_before_the_campaign(self, model, mults, monkeypatch):
+    def test_invalid_input_raises_before_the_campaign(self, model, mults, shots, match, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("the campaign ran")
 
         monkeypatch.setattr(experiments, "_campaign", fail)
-        with pytest.raises(ValueError, match="slope"):
-            compare_frequentist(1e6, 15, 40, mults, model, seed=0)
+        with pytest.raises(ValueError, match=match):
+            compare_frequentist(1e6, shots, 40, mults, model, seed=0)
 
     def test_multipliers_see_the_same_shots(self):
         # Each multiplier's frequentist shots start from the state the

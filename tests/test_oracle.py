@@ -44,6 +44,20 @@ class TestFromGaussian:
         with pytest.raises(ValueError):
             oracle.from_gaussian(belief, half_width_sigmas=4.0)
 
+    @pytest.mark.parametrize(
+        "eps, weights, match",
+        [
+            (np.linspace(-1.0, 1.0, 4), np.full(3, 1 / 3), "1-d arrays of equal length"),
+            (np.zeros((2, 2)), np.full((2, 2), 0.25), "1-d arrays of equal length"),
+            (np.linspace(-1.0, 1.0, 4), np.array([0.5, 0.75, -0.25, 0.0]), "non-negative"),
+            (np.linspace(-1.0, 1.0, 4), np.full(4, 0.5), "sum to 1"),
+        ],
+        ids=["lengths", "2-d", "negative", "unnormalized"],
+    )
+    def test_grid_posterior_contracts(self, eps, weights, match):
+        with pytest.raises(ValueError, match=match):
+            oracle.GridPosterior(eps, weights)
+
 
 class TestGridUpdate:
     def test_flat_likelihood_preserves_prior(self):

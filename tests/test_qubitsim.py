@@ -57,6 +57,11 @@ class TestNoiseProcess:
         with pytest.raises(ValueError):
             NoiseProcess(kind="telegraph")
 
+    @pytest.mark.parametrize("correlation_time", [0.0, -1e-3, math.nan])
+    def test_ou_correlation_time_must_be_positive(self, correlation_time):
+        with pytest.raises(ValueError, match="correlation_time must be positive"):
+            NoiseProcess(kind="ou_drift", correlation_time=correlation_time)
+
     def test_one_over_f_needs_three_components(self):
         with pytest.raises(ValueError):
             NoiseProcess(kind="one_over_f", octave_count=2)
@@ -77,21 +82,21 @@ class TestNoiseProcess:
         with pytest.raises(ValueError, match="band"):
             NoiseProcess(kind="one_over_f", band=band)
 
-    def test_quasistatic_constant_within_run(self):
+    def test_quasistatic_bank_is_empty_and_stays_empty(self):
+        # A quasistatic shift has no components: its static draw is the caller's (the prior's).
         proc = NoiseProcess(kind="quasistatic", sigma_eps=30e3)
         rng = np.random.default_rng(2)
-        state = initial_state(proc, rng)
-        eps0 = state.eps_true
+        bank = initial_state(proc, rng)
+        assert bank.shape == (0,) and bank.sum() == 0.0
         for dt in (0.0, 1e-6, 1e-3, 10.0):
-            state = step_noise(proc, state, dt, rng)
-            assert state.eps_true == eps0
+            bank = step_noise(proc, bank, dt, rng)
+            assert bank.shape == (0,)
 
     def test_ou_zero_step_is_identity(self):
         proc = NoiseProcess(kind="ou_drift", sigma_eps=30e3, correlation_time=1e-3)
         rng = np.random.default_rng(3)
-        state = initial_state(proc, rng)
-        after = step_noise(proc, state, 0.0, rng)
-        assert after.eps_true == state.eps_true
+        bank = initial_state(proc, rng)
+        np.testing.assert_array_equal(step_noise(proc, bank, 0.0, rng), bank)
 
     def test_ou_stationary_variance(self):
         proc = NoiseProcess(kind="ou_drift", sigma_eps=1.0, correlation_time=1e-3)
@@ -142,19 +147,22 @@ class TestNoiseProcess:
     @pytest.mark.parametrize("kind", ["ou_drift", "one_over_f"])
     def test_batch_transition_matches_step_noise(self, kind):
         # The lockstep campaign steps many banks at once; each row must be
-        # bit for bit what step_noise gives that state on its own.
+        # bit for bit what step_noise gives that bank on its own.
         proc = NoiseProcess(kind=kind)
         rng = np.random.default_rng(8)
-        states = [initial_state(proc, rng) for _ in range(20)]
+        banks = np.array([initial_state(proc, rng) for _ in range(20)])
         dt = np.linspace(3.5e-6, 2e-3, 20)
-        stepped = [
-            step_noise(proc, s, d, np.random.default_rng(i))
-            for i, (s, d) in enumerate(zip(states, dt))
-        ]
+        stepped = [step_noise(proc, banks[i], dt[i], np.random.default_rng(i)) for i in range(20)]
         z = np.array([np.random.default_rng(i).standard_normal(proc.rates.size) for i in range(20)])
-        comp = proc.transition(np.array([s.components for s in states]), proc.decay(dt[:, None]), z)
-        np.testing.assert_array_equal(comp, [s.components for s in stepped])
-        np.testing.assert_array_equal(comp.sum(axis=1), [s.eps_true for s in stepped])
+        np.testing.assert_array_equal(proc.transition(banks, proc.decay(dt[:, None]), z), stepped)
+
+    @pytest.mark.parametrize("kind", ["quasistatic", "ou_drift"])
+    @pytest.mark.parametrize("dt", [-1e-6, math.nan])
+    def test_negative_or_nan_step_rejected(self, kind, dt):
+        # A nan step used to return a bank of nan.
+        proc, rng = NoiseProcess(kind=kind), np.random.default_rng(9)
+        with pytest.raises(ValueError, match=re.escape("dt must be >= 0")):
+            step_noise(proc, initial_state(proc, rng), dt, rng)
 
     def test_state_of_another_process_rejected(self):
         # Six 1/f components would broadcast against one OU rate unnoticed.
@@ -165,7 +173,7 @@ class TestNoiseProcess:
 
     @pytest.mark.parametrize("kind, dt", [("ou_drift", 0.0), ("quasistatic", 1e-6)])
     def test_state_of_another_process_rejected_without_a_step(self, kind, dt):
-        # The component check comes before the paths that return the state as it is.
+        # The component check holds on every step: at dt = 0, and for a process with no components.
         rng = np.random.default_rng(9)
         state = initial_state(NoiseProcess(kind="one_over_f"), rng)
         with pytest.raises(ValueError, match="noise components"):
