@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, experiments, qubitsim
+from . import __version__, experiments
 from .estimator import GaussianBelief, LikelihoodModel, _sigma_in_range, run_estimation
 from .qubitsim import NoiseProcess, rng_for_run, sample_outcome, standard_normals
 
@@ -296,7 +296,7 @@ def _run_validate_gaussian(scenario: Scenario) -> tuple[list[str], list[list], d
 def _run_track(scenario: Scenario) -> tuple[list[str], list[list], dict | None]:
     p = scenario.params
     fb, open_loop = experiments.closed_loop_track(
-        noise=NoiseProcess(kind=qubitsim.QUASISTATIC, sigma_eps=p["sigma_eps"]),
+        noise=NoiseProcess(sigma_eps=p["sigma_eps"]),
         n_shots=p["n"],
         m_cycles=p["cycles"],
         tau_max=p["tau_max"],

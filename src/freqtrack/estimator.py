@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-_TWO_PI_SQ, _HALF_TWO_PI_SQ = TWO_PI**2, TWO_PI**2 / 2.0  # folded as evaluated left to right
+_HALF_TWO_PI_SQ = TWO_PI**2 / 2.0
 _SIXTEEN_PI_SQ = 16.0 * math.pi**2
 _NORMAL_MIN = 2.0**-1022  # sys.float_info.min, the smallest normal double
 
@@ -53,7 +53,7 @@ class GaussianBelief:
     sigma: float
 
     def __init__(self, mu: float, sigma: float):
-        if not 0.0 < sigma < 2.0**254:  # from 2**254 on, (2 pi beta)^2 sigma^4 can overflow
+        if not 0.0 < sigma < 2.0**254:  # sigma**4 of the floor checks overflows from 2**256 on
             raise ValueError(f"sigma must be in (0, 2**254), got {sigma}")
         if not math.isfinite(mu):
             raise ValueError(f"mu must be finite, got {mu}")
@@ -68,8 +68,8 @@ class LikelihoodModel:
     alpha in (-1, 1), beta in [0, 1], |alpha| + beta <= 1 so all probabilities
     stay in [0, 1].  beta = 0 is the degenerate flat-likelihood model (updates
     are no-ops).  T may be math.inf for a decoherence-free model.  inv_T is
-    1/T, exactly zero for infinite T, and inv_T_sq its square; they and the array and scalar
-    forms' gains and factors are set once, not fields.
+    1/T, exactly zero for infinite T, and inv_T_sq its square; they and the mean step's gains
+    2 pi m beta / (1 + m alpha), _gain_up and _gain_down, are floats set once, not fields.
     """
 
     alpha: float = -0.02
@@ -87,20 +87,11 @@ class LikelihoodModel:
             )
         if not self.T > 0.0:
             raise ValueError(f"T must be positive (may be inf), got {self.T}")
-        object.__setattr__(self, "beta", self.beta + 0.0)  # -0.0 is 0.0: equal models, equal bits
+        beta = self.beta + 0.0  # -0.0 is 0.0: equal models, equal bits
         # Not cached_properties: their __dict__ writes would slow every later read of the fields.
-        inv_T, gain = 0.0 if math.isinf(self.T) else 1.0 / self.T, TWO_PI * self.beta
-        gains = [-gain / (1.0 - self.alpha), gain / (1.0 + self.alpha)]  # indexed by m == +1
-        for name, value in (("inv_T", inv_T), ("inv_T_sq", inv_T**2), ("_gains", _arrays(gains)[0])):
-            object.__setattr__(self, name, value)
-        # The scalar form's factors of the model and m, evaluated as its left-to-right products group them.
-        for name, m in (("_up", 1), ("_down", -1)):
-            bias = 1.0 + m * self.alpha
-            object.__setattr__(self, name, (TWO_PI * m * self.beta, bias, bias**2))
-        object.__setattr__(self, "_var_gain", _TWO_PI_SQ * self.beta**2)
-
-    def __reduce__(self):  # copies rerun __post_init__, so their gains stay read-only
-        return type(self), (self.alpha, self.beta, self.T)
+        inv_T, gain = 0.0 if math.isinf(self.T) else 1.0 / self.T, TWO_PI * beta
+        self.__dict__.update(beta=beta, inv_T=inv_T, inv_T_sq=inv_T**2,
+                             _gain_down=-gain / (1.0 - self.alpha), _gain_up=gain / (1.0 + self.alpha))
 
 
 #: Reference SPAM/dephasing values for the transmon this model was fit to.
@@ -182,31 +173,25 @@ def _posterior_moments(
     """Method-of-moments posterior (mu, sigma) after outcome m.
 
     The probe is (tau, optimal_detuning(mu, tau)), and var is sigma**2, which
-    the caller has computed for tau.  This is the scalar form, on floats;
-    _posterior_moments_vec is the same closed form on arrays.  The leading
-    factors 2 pi m beta, 1 + m alpha, its square and (2 pi)^2 beta^2 are the
-    model's (_up or _down, and _var_gain), which left-to-right evaluation
-    computes first, so folding them moves no bit.  A
-    variance below VARIANCE_FLOOR_REL * sigma^2, or NaN, or a subnormal
-    sigma^4 raises NumericalConsistencyError.
+    the caller has computed for tau.  This is the scalar form, on floats, of
+    _posterior_moments_vec's expression: the mean steps by
+    2 pi m beta var tau damp / (1 + m alpha), and the variance falls by the
+    step's square.  A variance below VARIANCE_FLOOR_REL * sigma^2, or NaN, or
+    a subnormal sigma^4 raises NumericalConsistencyError.
     """
-    b = model.beta
-    if b == 0.0:
+    if model.beta == 0.0:  # keeps the sign of a zero mu, and sigma's own bits
         return mu, sigma
-    sigma4 = sigma**4
-    if sigma4 < _NORMAL_MIN:  # subnormal: the reduction would lose precision
+    if (sigma4 := sigma**4) < _NORMAL_MIN:  # not for precision: the sigma floor _sigma_in_range shares
         raise NumericalConsistencyError(f"sigma**4 = {sigma4} is subnormal (sigma={sigma})")
-    tau2 = tau**2
-    damp = math.exp(-tau * model.inv_T - _HALF_TWO_PI_SQ * var * tau2)
-    gain, bias, bias_sq = model._up if m == 1 else model._down
-    mu_next = mu + gain * var * tau * damp / bias
-    var_next = var - model._var_gain * sigma4 * tau2 * damp**2 / bias_sq
+    damp = math.exp(-tau * model.inv_T - _HALF_TWO_PI_SQ * var * tau**2)
+    step = (model._gain_up if m == 1 else model._gain_down) * var * tau * damp
+    var_next = var - step * step
     if not var_next >= VARIANCE_FLOOR_REL * var:
         raise NumericalConsistencyError(
             f"posterior variance {var_next} is below the floor "
             f"(sigma={sigma}, tau={tau}, model={model})"
         )
-    return mu_next, math.sqrt(var_next)
+    return mu + step, math.sqrt(var_next)
 
 
 def _optimal_tau_vec(var: np.ndarray, model: LikelihoodModel) -> np.ndarray:
@@ -220,16 +205,16 @@ def _posterior_moments_vec(
     """_posterior_moments elementwise on arrays of means and variances: posterior (mu, var).
 
     up is a boolean array, true where m = +1.  The variance falls by the
-    square of the mean step 2 pi m beta var tau damp / (1 + m alpha), which
-    is the scalar form's reduction factor for factor.  Its own function, not
-    a type branch in one kernel: on the per-shot float path the dispatch
-    costs more than it saves.  It agrees with the scalar form to rounding.
-    At beta = 0 both gains are +-0, so the moments keep their values.
+    square of the mean step 2 pi m beta var tau damp / (1 + m alpha), the
+    scalar form's expression, so the two are bit-identical wherever np.exp
+    and math.exp agree.  Its own function, not a type branch in one kernel:
+    on the per-shot float path the dispatch costs more than it saves.  At
+    beta = 0 both gains are +-0, so the moments keep their values.
     """
-    if up.dtype != np.bool_:  # a take would read an outcome of -1 as the gain of +1
+    if up.dtype != np.bool_:  # np.where would read an outcome of -1 as m = +1
         raise TypeError(f"up must be a boolean array, got dtype {up.dtype}")
     damp = np.exp(tau * -model.inv_T - _HALF_TWO_PI_SQ * var * tau**2)
-    step = model._gains.take(up) * var * tau * damp
+    step = np.where(up, model._gain_up, model._gain_down) * var * tau * damp
     var_next = var - step * step
     if not (var_next >= VARIANCE_FLOOR_REL * var).all():
         raise NumericalConsistencyError(

@@ -307,6 +307,8 @@ class FringeRecord:
     feedback: bool
 
     def __post_init__(self):
+        for name in ("tau_values", "flip_fractions"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.tau_values.ndim != 1 or self.tau_values.shape != self.flip_fractions.shape:
             raise ValueError("tau_values and flip_fractions must be 1-D arrays of equal length")
         if not np.all((self.flip_fractions >= 0) & (self.flip_fractions <= 1)):  # nan fails too
@@ -408,8 +410,7 @@ def fit_fringe(record: FringeRecord) -> FringeFit:
     """
     from scipy.optimize import curve_fit
 
-    tau = np.asarray(record.tau_values, dtype=float)
-    y = np.asarray(record.flip_fractions, dtype=float)
+    tau, y = record.tau_values, record.flip_fractions
     if tau.size < 10:
         raise ValueError(f"need >= 10 points to fit a fringe, got {tau.size}")
     steps = np.diff(tau)

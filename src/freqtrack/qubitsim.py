@@ -53,6 +53,8 @@ def rng_for_run(master_seed: int, run_index: int, width: int = 2**32) -> np.rand
     key = operator.index(master_seed)
     if not 0 <= key < 2**128:
         raise ValueError("key must be positive and less than 2**128.")  # as Philox(key=...) words it
+    if run_index < 0 or width <= 0 or width % 4:  # else rows alias, or wrap to no row's stream
+        raise ValueError(f"need run_index >= 0 and width a positive multiple of 4, got {run_index}, {width}")
     bits, offset = np.random.Philox(_key_only()(key)), run_index * width // 4
     if offset:  # advance(0) moves nothing, and costs about a third of the stream's construction
         bits.advance(offset)

@@ -14,8 +14,9 @@ It hashes, in order:
   - default OU and 1/f `closed_loop_track` fringes, the same tracks otherwise, on their own.
 
 It prints the campaign matrix's own digest first (e9a6bc38...4a2e since it was set up), then
-the digest of the first three (3b20ef27...0f05), then the drift tracks' digest.  The name keeps
-pytest from collecting it.  It takes a few seconds.
+the digest of the first three, then the drift tracks' digest, then one digest per subcommand
+over its own files, so that a declared change can show which subcommands it moved.  The name
+keeps pytest from collecting it.  It takes a few seconds.
 """
 
 import hashlib
@@ -60,7 +61,9 @@ def track_bits(digest, noise=NoiseProcess()) -> None:
             digest.update(record.tau_values.tobytes() + record.flip_fractions.tobytes())
 
 
-def cli_bits(digest) -> None:
+def cli_bits(digest) -> dict:
+    """Feed every CLI file to digest, and return each subcommand's own digest of its files."""
+    commands = {command: hashlib.sha256() for command in cli.COMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
         for command, seed, fmt in itertools.product(cli.COMMANDS, (0, 3), ("csv", "json")):
             out = Path(tmp, f"{command}-{seed}.{fmt}")
@@ -68,8 +71,11 @@ def cli_bits(digest) -> None:
             if cli.main(argv) != 0:
                 sys.exit(f"freqtrack {' '.join(argv)} failed")
             for path in sorted(Path(tmp).iterdir()):
-                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+                chunk = path.name.encode() + b"\0" + path.read_bytes()
+                digest.update(chunk)
+                commands[command].update(chunk)
                 path.unlink()
+    return commands
 
 
 def main() -> None:
@@ -77,13 +83,15 @@ def main() -> None:
     campaigns = campaign_bits(matrix)
     digest = hashlib.sha256(matrix.digest())
     track_bits(digest)
-    cli_bits(digest)
+    commands = cli_bits(digest)
     drift = hashlib.sha256()
     for kind in ("ou_drift", "one_over_f"):
         track_bits(drift, NoiseProcess(kind=kind))
     print(f"{matrix.hexdigest()}  ({campaigns} campaigns)")
     print(f"{digest.hexdigest()}  (the campaigns, 3 tracks, {len(cli.COMMANDS) * 4} CLI runs)")
     print(f"{drift.hexdigest()}  (3 OU and 3 1/f tracks)")
+    for command, own in commands.items():
+        print(f"{own.hexdigest()}  ({command}: seeds 0 and 3, CSV and JSON)")
 
 
 if __name__ == "__main__":

@@ -60,33 +60,22 @@ class TestLikelihoodModel:
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.inv_T = 0.0
 
-    def test_array_constants_are_read_only_and_survive_copies(self):
-        # The array closed form reads the mean step's two gains as a read-only array, 1/T and 1/T^2
-        # as the floats the scalar form reads.
-        model = LikelihoodModel(alpha=0.1, beta=0.5, T=4e-6)
-        for twin in (model, pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
-            assert twin == model and hash(twin) == hash(model) and repr(twin) == repr(model)
-            assert twin._gains.dtype == np.float64 and not twin._gains.flags.writeable
-            assert type(twin.inv_T) is type(twin.inv_T_sq) is float
-            assert (twin.inv_T, twin.inv_T_sq) == (2.5e5, 2.5e5**2)
-            assert twin._gains.tolist() == [-TWO_PI * 0.5 / 0.9, TWO_PI * 0.5 / 1.1]
-        assert str(-LikelihoodModel(0.0, 1.0, math.inf).inv_T) == "-0.0"  # the array forms' -1/T
-
-    def test_scalar_factors_survive_copies(self):
-        # The scalar closed form reads (2 pi m beta, 1 + m alpha, its square) and (2 pi)^2 beta^2.
+    def test_float_constants_survive_copies(self):
+        # Both closed forms read 1/T, 1/T^2 and the mean step's gains 2 pi m beta / (1 + m alpha).
         model = LikelihoodModel(alpha=0.1, beta=0.5, T=4e-6)
         twins = (model, pickle.loads(pickle.dumps(model)), copy.deepcopy(model), dataclasses.replace(model))
         for twin in twins:
             assert twin == model and hash(twin) == hash(model) and repr(twin) == repr(model)
-            assert twin.inv_T_sq == 2.5e5**2
-            assert twin._up == (TWO_PI * 0.5, 1.1, 1.1**2)
-            assert twin._down == (-TWO_PI * 0.5, 0.9, 0.9**2)
-            assert twin._var_gain == TWO_PI**2 * 0.25
+            constants = (twin.inv_T, twin.inv_T_sq, twin._gain_down, twin._gain_up)
+            assert all(type(value) is float for value in constants)
+            assert constants == (2.5e5, 2.5e5**2, -TWO_PI * 0.5 / 0.9, TWO_PI * 0.5 / 1.1)
+        assert str(-LikelihoodModel(0.0, 1.0, math.inf).inv_T) == "-0.0"  # the array forms' -1/T
 
     def test_negative_zero_beta_is_stored_as_zero(self):
         # beta = -0.0 compares equal to 0.0, so it must step alike: its gains would be +-0 swapped.
         flat, negative_zero = LikelihoodModel(-0.02, 0.0, 1e-5), LikelihoodModel(-0.02, -0.0, 1e-5)
-        assert negative_zero._gains.tobytes() == flat._gains.tobytes()
+        for model in (flat, negative_zero):
+            assert [math.copysign(1.0, gain) for gain in (model._gain_down, model._gain_up)] == [-1.0, 1.0]
         assert math.copysign(1.0, negative_zero.beta) == 1.0
 
 

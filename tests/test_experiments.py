@@ -470,6 +470,8 @@ class TestFitFringe:
         assert fit.frequency == pytest.approx(f, rel=0.01)
         assert fit.amplitude == pytest.approx(0.45, rel=0.01)
         assert fit.residual_rms < 1e-6
+        as_lists = FringeRecord(tau_values=taus.tolist(), flip_fractions=y.tolist(), feedback=True)
+        assert fit_fringe(as_lists) == fit  # the record holds float arrays, as from arrays
 
     def test_flat_record_unidentifiable(self):
         taus = np.linspace(1e-7, 8e-6, 40)

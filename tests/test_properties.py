@@ -82,14 +82,18 @@ def test_step_matches_oracle_moments(model, mu, sigma, mult, m):
 )
 def test_array_form_matches_scalar_form(model, rows):
     mu, sigma, mult, m = (np.array(column) for column in zip(*rows))
-    tau = mult * _optimal_tau_vec(sigma**2, model)
-    mu_v, var_v = _posterior_moments_vec(mu, sigma**2, tau, m == 1, model)
+    var = sigma**2  # may differ from sigma_i**2 by an ulp: numpy squares as sigma * sigma
+    tau = mult * _optimal_tau_vec(var, model)
+    mu_v, var_v = _posterior_moments_vec(mu, var, tau, m == 1, model)
     sigma_v = np.sqrt(var_v)
     for i, (mu_i, sigma_i, mult_i, m_i) in enumerate(rows):
         tau_i = mult_i * optimal_tau(sigma_i, model.T)
         mu_s, sigma_s = _posterior_moments(mu_i, sigma_i, sigma_i**2, tau_i, m_i, model)
-        # np.exp and math.exp may differ by an ulp, so the forms agree to rounding only.
+        # One expression: equal bits wherever np.exp and math.exp agree, else equal to rounding.
         assert math.isclose(tau[i], tau_i, rel_tol=1e-14)
+        x = -tau_i * model.inv_T - TWO_PI**2 / 2.0 * sigma_i**2 * tau_i**2
+        if (var[i], tau[i]) == (sigma_i**2, tau_i) and math.exp(x) == np.exp(x):
+            assert (mu_v[i], sigma_v[i]) == (mu_s, sigma_s)
         assert abs(mu_v[i] - mu_s) <= 1e-14 * max(abs(mu_s), sigma_i)
         assert math.isclose(sigma_v[i], sigma_s, rel_tol=1e-14)
 
@@ -107,12 +111,9 @@ def test_impossible_variance_raises_in_both_forms(beta):
     # No valid model gets here, so a duck-typed one outside LikelihoodModel's
     # checks stands in for a numerical fault: beta = 3 drives the variance
     # negative, beta = nan makes it nan.
-    # The array form also reads the model's 1/T and its two gains 2 pi m beta / (1 + m alpha),
-    # the scalar form its factors (2 pi m beta, 1 + m alpha, its square) and (2 pi)^2 beta^2.
-    gains = np.array([-TWO_PI * beta, TWO_PI * beta])
+    # Both forms also read the model's 1/T and its two gains 2 pi m beta / (1 + m alpha).
     model = SimpleNamespace(
-        alpha=0.0, beta=beta, inv_T=0.0, _gains=gains,
-        _up=(TWO_PI * beta, 1.0, 1.0), _down=(-TWO_PI * beta, 1.0, 1.0), _var_gain=TWO_PI**2 * beta**2,
+        alpha=0.0, beta=beta, inv_T=0.0, _gain_down=-TWO_PI * beta, _gain_up=TWO_PI * beta
     )
     sigma = 1e6
     tau = 1.0 / (TWO_PI * sigma)  # x = 2 pi sigma tau = 1, the largest reduction
@@ -533,10 +534,8 @@ def _posterior_moments_written_out(mu, sigma, tau, m, model):
     var = sigma**2
     inv_T = 0.0 if math.isinf(model.T) else 1.0 / model.T
     damp = math.exp(-tau * inv_T - TWO_PI**2 / 2.0 * var * tau**2)
-    bias = 1.0 + m * model.alpha
-    mu_next = mu + TWO_PI * m * b * var * tau * damp / bias
-    var_next = var - TWO_PI**2 * b**2 * sigma**4 * tau**2 * damp**2 / bias**2
-    return mu_next, math.sqrt(var_next)
+    step = TWO_PI * m * b / (1.0 + m * model.alpha) * var * tau * damp
+    return mu + step, math.sqrt(var - step * step)
 
 
 wide_sigmas = st.floats(1e-3, 1e12)
@@ -588,11 +587,11 @@ def _hex(*values):
     wide_sigmas,
     st.lists(outcomes, max_size=20),
 )
-# sigma**2 and (1 - alpha)**2 that differ from sigma * sigma and (1 - alpha) * (1 - alpha):
+# a sigma**2 that differs from sigma * sigma, and an alpha near 1 - beta:
 @example(LikelihoodModel(-0.02, 0.6, 1e-5), 0.0, 1345786.938855165, [1])
 @example(LikelihoodModel(0.2882398177113618, 0.6, 1e-5), 0.0, 1e6, [-1, -1, -1])
 def test_controller_loop_keeps_every_bit_of_the_written_out_loop(model, mu, sigma, seq):
-    # The model's folded factors must leave every bit in place, the sign of a zero mu included,
+    # The model's stored gains must leave every bit in place, the sign of a zero mu included,
     # and beta = 0 must leave the belief as it was.
     expected, mu_ref, sigma_ref = [], mu, sigma
     for m in seq:

@@ -263,10 +263,16 @@ class TestReproducibility:
         np.testing.assert_equal(rng.bit_generator.state, expected.state)
         np.testing.assert_array_equal(rng.random(9), np.random.Generator(expected).random(9))
 
-    @pytest.mark.parametrize("seed", [-1, 2**128])
-    def test_seed_outside_philox_keys_raises_value_error(self, seed):
-        with pytest.raises(ValueError, match=re.escape("less than 2**128")):
-            rng_for_run(seed, 0)
+    # At width 3, run 1 advanced 3 // 4 = 0 blocks into run 0's stream; run -1 wrapped the
+    # counter to the end of its period, into a stream that belongs to no row.
+    @pytest.mark.parametrize("seed,run,width,message", [
+        (-1, 0, 2**32, "less than 2**128"), (2**128, 0, 2**32, "less than 2**128"),
+        *((0, run, width, "positive multiple of 4")
+          for run, width in [(-1, 2**32), (1, 3), (2, 6), (1, 0), (1, -4)]),
+    ])
+    def test_arguments_outside_philox_keys_and_rows_raise_value_error(self, seed, run, width, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rng_for_run(seed, run, width)
 
 
 #: numpy.random's stream and bit-generator constructors.
