@@ -134,7 +134,7 @@ def _param(key: str, spec: tuple, value):
         if not all(v > low if exclusive else v >= low for v in values):
             raise ScenarioError(f"{key} must be {'>' if exclusive else '>='} {low}, got {value}")
     if key == "sigma0" and not _sigma_in_range(value):
-        raise ScenarioError(f"sigma0 must be in (0, 2**254) with a normal sigma0**4, got {value}")
+        raise ScenarioError(f"sigma0 must be in [2**-255.5, 2**254), got {value}")
     return value
 
 

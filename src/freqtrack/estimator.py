@@ -25,11 +25,10 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 _HALF_TWO_PI_SQ = TWO_PI**2 / 2.0
 _SIXTEEN_PI_SQ = 16.0 * math.pi**2
-_NORMAL_MIN = 2.0**-1022  # sys.float_info.min, the smallest normal double
 
 
-def _sigma_in_range(sigma: float) -> bool:  # a GaussianBelief's sigma whose sigma**4 is normal
-    return 0.0 < sigma < 2.0**254 and sigma**4 >= _NORMAL_MIN
+def _sigma_in_range(sigma: float) -> bool:  # the sigma a GaussianBelief holds; NaN is out
+    return 2.0**-255.5 <= sigma < 2.0**254
 
 
 # A posterior variance below this fraction of the prior's is a numerical fault;
@@ -53,8 +52,9 @@ class GaussianBelief:
     sigma: float
 
     def __init__(self, mu: float, sigma: float):
-        if not 0.0 < sigma < 2.0**254:  # sigma**4 of the floor checks overflows from 2**256 on
-            raise ValueError(f"sigma must be in (0, 2**254), got {sigma}")
+        # _sigma_in_range inline, as it is paid every shot: from 2**-255.5 on, sigma^4 is normal
+        if not 2.0**-255.5 <= sigma < 2.0**254:
+            raise ValueError(f"sigma must be in [2**-255.5, 2**254), got {sigma}")
         if not math.isfinite(mu):
             raise ValueError(f"mu must be finite, got {mu}")
         d = self.__dict__
@@ -89,7 +89,7 @@ class LikelihoodModel:
             raise ValueError(f"T must be positive (may be inf), got {self.T}")
         beta = self.beta + 0.0  # -0.0 is 0.0: equal models, equal bits
         # Not cached_properties: their __dict__ writes would slow every later read of the fields.
-        inv_T, gain = 0.0 if math.isinf(self.T) else 1.0 / self.T, TWO_PI * beta
+        inv_T, gain = 1.0 / self.T, TWO_PI * beta
         self.__dict__.update(beta=beta, inv_T=inv_T, inv_T_sq=inv_T**2,
                              _gain_down=-gain / (1.0 - self.alpha), _gain_up=gain / (1.0 + self.alpha))
 
@@ -134,15 +134,14 @@ def optimal_tau(sigma: float, T: float) -> float:
 
     tau = (sqrt(16 pi^2 sigma^2 + 1/T^2) - 1/T) / (8 pi^2 sigma^2), evaluated
     in the cancellation-free form 2 / (sqrt(...) + 1/T).  Limits: 1/(2 pi sigma)
-    for T -> inf, and T for sigma -> 0.  A sigma whose square underflows to
-    zero, or for which 16 pi^2 sigma^2 overflows (from 2**508 on), raises ValueError.
+    for T -> inf, and T for sigma -> 0.  sigma must lie in a GaussianBelief's range.
     """
-    if not (0.0 < sigma < 2.0**508 and (var := sigma**2) > 0.0):
-        raise ValueError(f"sigma must be in (0, 2**508) with a nonzero square, got {sigma}")
+    if not _sigma_in_range(sigma):
+        raise ValueError(f"sigma must be in [2**-255.5, 2**254), got {sigma}")
     if not T > 0.0:
         raise ValueError(f"T must be positive (may be inf), got {T}")
-    inv_T = 0.0 if math.isinf(T) else 1.0 / T
-    return _optimal_tau(var, inv_T, inv_T**2)
+    inv_T = 1.0 / T
+    return _optimal_tau(sigma**2, inv_T, inv_T**2)
 
 
 def _optimal_tau(var: float, inv_T: float, inv_T_sq: float) -> float:
@@ -177,12 +176,10 @@ def _posterior_moments(
     _posterior_moments_vec's expression: the mean steps by
     2 pi m beta var tau damp / (1 + m alpha), and the variance falls by the
     step's square.  A variance below VARIANCE_FLOOR_REL * sigma^2, or NaN, or
-    a subnormal sigma^4 raises NumericalConsistencyError.
+    a posterior sigma below 2**-255.5, GaussianBelief's floor, raises NumericalConsistencyError.
     """
     if model.beta == 0.0:  # keeps the sign of a zero mu, and sigma's own bits
         return mu, sigma
-    if (sigma4 := sigma**4) < _NORMAL_MIN:  # not for precision: the sigma floor _sigma_in_range shares
-        raise NumericalConsistencyError(f"sigma**4 = {sigma4} is subnormal (sigma={sigma})")
     damp = math.exp(-tau * model.inv_T - _HALF_TWO_PI_SQ * var * tau**2)
     step = (model._gain_up if m == 1 else model._gain_down) * var * tau * damp
     var_next = var - step * step
@@ -191,7 +188,9 @@ def _posterior_moments(
             f"posterior variance {var_next} is below the floor "
             f"(sigma={sigma}, tau={tau}, model={model})"
         )
-    return mu + step, math.sqrt(var_next)
+    if (sigma_next := math.sqrt(var_next)) < 2.0**-255.5:  # so a belief can hold it
+        raise NumericalConsistencyError(f"posterior sigma {sigma_next} is below 2**-255.5")
+    return mu + step, sigma_next
 
 
 def _optimal_tau_vec(var: np.ndarray, model: LikelihoodModel) -> np.ndarray:
@@ -279,9 +278,7 @@ def run_estimation(
 
     Each cycle recomputes (tau, delta_f) from the current (mu, sigma), carried
     as floats, obtains an outcome from `measure`, and applies the closed-form
-    update.  Returns the final belief and the full per-step trace.  A prior
-    whose sigma**4 is subnormal raises NumericalConsistencyError at its first
-    shot, as update does.
+    update.  Returns the final belief and the full per-step trace.
     """
     if n_shots < 0:
         raise ValueError(f"n_shots must be >= 0, got {n_shots}")

@@ -72,8 +72,6 @@ class CampaignConfig:
             raise ValueError(f"n_shots must be >= 0, got {self.n_shots}")
         if not 0 <= operator.index(self.master_seed) < 2**128:  # the keys Philox accepts; 2.5 raises
             raise ValueError(f"master_seed must be >= 0 and < 2**128, got {self.master_seed}")
-        if not _sigma_in_range(self.prior.sigma):
-            raise ValueError(f"prior sigma {self.prior.sigma}: sigma**4 is subnormal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,12 +167,6 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None,
         return var if shot > depth else tree_var[shot].take(node)
 
     for shot, threshold in enumerate((1.0 + truth_model.alpha) - 2.0 * u):
-        # The scalar form's check that sigma**4 stays normal: exact on the last shot, as var never
-        # grows, and every 512th, since tau**2 overflows >= 780 shots past it (<= 0.67 bits a shot).
-        if shot == n - 1 or shot % 512 == 511:
-            sigma = math.sqrt(var_at(shot).min())
-            if not _sigma_in_range(sigma):
-                raise NumericalConsistencyError(f"sigma**4 is subnormal (sigma={sigma})")
         if shot < depth:
             tau = taus[shot].take(node)
             if comp is not None:  # the bank steps over the cycle of the node probed
@@ -193,6 +185,12 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None,
         if comp is not None:
             comp = comp * decay + kick * z[shot]
             eps_true = eps + np.add.reduce(comp, 1)
+        # The scalar form's posterior-sigma floor: exact after the last shot, as var never grows,
+        # and after every 512th, since tau**2 overflows >= 780 shots past it (<= 0.67 bits a shot).
+        if shot == n - 1 or shot % 512 == 511:
+            sigma = math.sqrt(var_at(shot + 1).min())
+            if not _sigma_in_range(sigma):
+                raise NumericalConsistencyError(f"posterior sigma {sigma} is below 2**-255.5")
     return mu, np.sqrt(var_at(n)), eps_true, comp
 
 
@@ -298,7 +296,7 @@ def gaussian_validity_sweep(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FringeRecord:
     """Averaged Ramsey fringe: flip fraction per evolution time."""
 
@@ -348,7 +346,7 @@ def closed_loop_track(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if not _sigma_in_range(sigma0):
-        raise ValueError(f"sigma0 {sigma0}: not in (0, 2**254), or sigma**4 is subnormal")
+        raise ValueError(f"sigma0 must be in [2**-255.5, 2**254), got {sigma0}")
 
     shots = m_cycles * (n_shots + 1)
     z0, rows, comp, dz = _rows(seed, repetitions, shots, noise, shots)

@@ -16,7 +16,7 @@ import numpy as np
 from .estimator import GaussianBelief, LikelihoodModel, ProbeSettings, likelihood_probability
 
 DEFAULT_POINTS = 2**14
-DEFAULT_HALF_WIDTH_SIGMAS = 8.0
+HALF_WIDTH_SIGMAS = 8.0  # the grid spans the belief's mean +- 8 sigma
 
 _NORM_TOL = 1e-9
 _MODE_THRESHOLD_REL = 1e-6
@@ -38,21 +38,12 @@ class GridPosterior:
             raise ValueError("weights must sum to 1")
 
 
-def from_gaussian(
-    belief: GaussianBelief,
-    half_width_sigmas: float = DEFAULT_HALF_WIDTH_SIGMAS,
-    points: int = DEFAULT_POINTS,
-) -> GridPosterior:
-    """Discretize a Gaussian belief onto a symmetric grid of `points` samples."""
+def from_gaussian(belief: GaussianBelief, points: int = DEFAULT_POINTS) -> GridPosterior:
+    """Discretize a Gaussian belief onto a grid of `points` samples, HALF_WIDTH_SIGMAS each side."""
     if points < 2**10:
         raise ValueError(f"points must be >= 1024, got {points}")
-    if half_width_sigmas < 6.0:
-        raise ValueError(f"half_width_sigmas must be >= 6, got {half_width_sigmas}")
-    eps = np.linspace(
-        belief.mu - half_width_sigmas * belief.sigma,
-        belief.mu + half_width_sigmas * belief.sigma,
-        points,
-    )
+    half_width = HALF_WIDTH_SIGMAS * belief.sigma
+    eps = np.linspace(belief.mu - half_width, belief.mu + half_width, points)
     return GridPosterior(eps, normal_weights(eps, belief.mu, belief.sigma))
 
 

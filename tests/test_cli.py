@@ -286,7 +286,7 @@ class TestExitCodes:
             ["track", "--target-detuning", "inf"],
             ["track", "--sigma-eps", "inf"],
             ["compare-frequentist", "--tau-multipliers", ","],
-            # sigma0**2 or sigma0**4 underflows to 0 or overflows, or sigma0**4 is subnormal
+            # sigma0 outside [2**-255.5, 2**254): sigma0**4 subnormal, or too large
             ["estimate", "--sigma0", "1e-300"],
             ["estimate", "--sigma0", "1e100"],
             ["estimate", "--sigma0", "1e300"],
@@ -392,19 +392,21 @@ class TestExitCodes:
         assert len(rows) == 3 and all(float(row[3]) > 0.0 for row in rows)
 
     def test_sigma_turning_subnormal_mid_run_exits_2(self, tmp_path, capsys):
-        # sigma0**4 is normal, but ideal steps take it below the smallest normal double:
-        # one step at sigma0 = 1.3e-77, or 1700 steps from the default prior, after which
-        # tau**2 used to overflow in the array form with only a warning and exit 0.
+        # sigma0 is in range, but ideal steps take sigma below 2**-255.5, where sigma**4 is
+        # subnormal: one step at sigma0 = 1.3e-77, or 1700 steps from the default prior, after
+        # which tau**2 used to overflow in the array form with only a warning and exit 0.  The
+        # one-shot estimate, whose last shot crosses the floor, used to exit 0.
         ideal = ["--alpha", "0", "--beta", "1", "--coherence-time", "inf"]
         truth = ["--truth-alpha", "0", "--truth-beta", "1", "--truth-coherence-time", "inf"]
         for argv in (
             ["estimate", "--sigma0", "1.3e-77", *ideal],
+            ["estimate", "--sigma0", "1.3e-77", "--n", "1", *ideal],
             ["campaign", "--runs", "3", "--n", "1700", *ideal, *truth],
             ["track", "--n", "1700", *ideal],
             ["compare-frequentist", "--shots", "1700", "--runs", "3", *ideal],
         ):
             assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 2, argv
-            assert "subnormal" in capsys.readouterr().err
+            assert "below 2**-255.5" in capsys.readouterr().err
             assert list(tmp_path.iterdir()) == []
 
     def test_largest_seed_accepted(self, tmp_path):
@@ -471,8 +473,9 @@ class TestEstimateOutput:
     def test_replays_campaign_run_0(self, tmp_path, monkeypatch):
         # estimate --seed s reads the row of run 0 of `campaign --seed s --runs 1` through the
         # public scalar API: the prior normal's pair, then one uniform per shot.  The final
-        # (mu, sigma) differ from the lockstep loop's only where math.exp and np.exp differ by
-        # an ulp; the shift is the same bits.
+        # (mu, sigma) agree with the lockstep loop's to rounding, not bit for bit, as the loop
+        # carries the variance and run_estimation squares sigma every shot; the shift is the
+        # same bits.
         shifts = []
 
         def recording(eps_true, probe, model, rng):

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from freqtrack.estimator import (
     NumericalConsistencyError,
     ProbeSettings,
     StepRecord,
+    _sigma_in_range,
     design_probe,
     likelihood_probability,
     optimal_detuning,
@@ -28,6 +30,56 @@ from freqtrack.estimator import (
 )
 
 IDEAL_SHRINK = math.sqrt(1.0 - math.exp(-1.0))  # per-step sigma ratio, ideal limit
+FLOOR, CEILING = 2.0**-255.5, 2.0**254  # the sigma range, [FLOOR, CEILING)
+RANGE_ERROR = "sigma must be in [2**-255.5, 2**254), got "
+
+
+class TestSigmaRange:
+    """GaussianBelief, _sigma_in_range and optimal_tau hold one range of sigma."""
+
+    def test_floor_is_the_smallest_sigma_whose_pow_4_is_normal(self):
+        assert FLOOR**4 >= sys.float_info.min > math.nextafter(FLOOR, 0.0) ** 4
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [FLOOR, math.nextafter(FLOOR, 1.0), 1.3e-77, 1.0, 1e6, 1e76,
+         math.nextafter(math.nextafter(CEILING, 0.0), 0.0), math.nextafter(CEILING, 0.0)],
+        ids=str,
+    )
+    def test_accepted(self, sigma):
+        assert _sigma_in_range(sigma) and GaussianBelief(0.0, sigma).sigma == sigma
+        assert 0.0 < optimal_tau(sigma, math.inf) < math.inf
+        assert 0.0 < sigma**2 < math.inf and sys.float_info.min <= sigma**4 < math.inf
+
+    # Below FLOOR sigma**4 is subnormal: design_probe divided by zero at 1e-170, and at 1e-100 it
+    # returned tau = 1.59e99 s for a belief update rejected.  From CEILING on, (2 pi beta)^2 sigma^4
+    # overflowed in the earlier step form: design_probe and update raised OverflowError at 1e200.
+    @pytest.mark.parametrize(
+        "sigma",
+        [math.nextafter(FLOOR, 0.0), 1e-300, 1e-200, 1e-170, 1e-100, 1e-82, 1e-80, CEILING,
+         math.nextafter(CEILING, math.inf), 1e77, math.nextafter(2.0**256, 0.0), 2.0**256, 1e100,
+         1e200, 2.0**508, 1e300, 0.0, -1.0, math.nan, math.inf],
+        ids=str,
+    )
+    def test_rejected(self, sigma):
+        assert not _sigma_in_range(sigma)
+        with pytest.raises(ValueError, match=re.escape(f"{RANGE_ERROR}{sigma}")):
+            GaussianBelief(0.0, sigma)
+        with pytest.raises(ValueError, match=re.escape(f"{RANGE_ERROR}{sigma}")):
+            optimal_tau(sigma, 1e-5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: design_probe(GaussianBelief(0.0, 1e-170), IDEAL_MODEL),  # ZeroDivisionError
+            lambda: run_estimation(GaussianBelief(0.0, 1e-170), 1, IDEAL_MODEL, lambda p: 1),
+            lambda: design_probe(GaussianBelief(0.0, 1e-100), IDEAL_MODEL),  # tau = 1.59e99 s
+        ],
+        ids=["design_probe 1e-170", "run_estimation 1e-170", "design_probe 1e-100"],
+    )
+    def test_a_belief_it_cannot_probe_is_not_built(self, call):
+        with pytest.raises(ValueError, match=re.escape(RANGE_ERROR)):
+            call()
 
 
 class TestLikelihoodModel:
@@ -88,13 +140,6 @@ VALUE_TYPES = [
 
 class TestValueTypes:
     """The per-shot value classes keep the frozen-dataclass contract with their own __init__."""
-
-    # From 2**254 on, (2 pi beta)^2 sigma^4 can overflow: design_probe and update raised
-    # OverflowError at 1e200.  No belief holds such a sigma, so neither meets one.
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 2.0**254, 1e77, 1e200])
-    def test_belief_rejects_sigma(self, sigma):
-        with pytest.raises(ValueError, match=re.escape(f"sigma must be in (0, 2**254), got {sigma}")):
-            GaussianBelief(0.0, sigma)
 
     def test_design_probe_and_update_run_at_the_largest_sigma(self):
         largest = GaussianBelief(0.0, math.nextafter(2.0**254, 0.0))
@@ -215,14 +260,15 @@ class TestOptimalTau:
     )
     def test_a_sigma_it_cannot_square_raises_value_error(self, sigma, T):
         # They returned 0.0, raised OverflowError, or ZeroDivisionError (the last two pairs).
-        with pytest.raises(ValueError, match="nonzero square"):
+        with pytest.raises(ValueError, match=re.escape(f"{RANGE_ERROR}{sigma}")):
             optimal_tau(sigma, T)
 
     def test_squares_at_the_ends_of_its_range(self):
-        big, small = math.nextafter(2.0**508, 0.0), 1e-160
+        big, small = math.nextafter(CEILING, 0.0), FLOOR
         assert optimal_tau(big, 1e-5) == pytest.approx(1.0 / (TWO_PI * big), rel=1e-12)
-        # small**2 is subnormal, 1e-320, so it keeps only about 5 significant digits
-        assert optimal_tau(small, math.inf) == pytest.approx(1.0 / (TWO_PI * small), rel=1e-5)
+        # small**2 = 2**-511 is normal, so it keeps every significant digit
+        assert optimal_tau(small, math.inf) == pytest.approx(1.0 / (TWO_PI * small), rel=1e-15)
+        assert optimal_tau(small, 1e-5) == pytest.approx(1e-5, rel=1e-15)
 
     def test_local_minimum_of_expected_posterior_variance(self):
         # Expected posterior variance, from the closed-form variance update,
@@ -339,13 +385,15 @@ class TestUpdate:
         assert final == expected and type(final.mu) is float and trace[0].outcome is m
 
     def test_subnormal_sigma_pow_4_raises(self):
-        # A subnormal sigma**4 has lost bits: one ideal step at sigma = 1.3e-81
-        # shrank sigma by 0.609 instead of IDEAL_SHRINK.
-        for sigma in (1.3e-81, 1e-80):
+        # A subnormal sigma**4 has lost bits: one ideal step at sigma = 1.3e-81 shrank sigma by
+        # 0.609 instead of IDEAL_SHRINK.  So a posterior sigma below FLOOR raises, at the shot that
+        # takes it there, and no belief holds one.
+        for sigma in (1.3e-77, FLOOR / IDEAL_SHRINK * (1.0 - 1e-12)):
             belief = GaussianBelief(0.0, sigma)
-            with pytest.raises(NumericalConsistencyError, match="subnormal"):
-                update(belief, design_probe(belief, IDEAL_MODEL), 1, IDEAL_MODEL)
-        belief = GaussianBelief(0.0, 1.3e-77)  # sigma**4 just above the smallest normal
+            for m in (-1, 1):
+                with pytest.raises(NumericalConsistencyError, match=re.escape("below 2**-255.5")):
+                    update(belief, design_probe(belief, IDEAL_MODEL), m, IDEAL_MODEL)
+        belief = GaussianBelief(0.0, FLOOR / IDEAL_SHRINK * (1.0 + 1e-12))  # steps to just above
         after = update(belief, design_probe(belief, IDEAL_MODEL), 1, IDEAL_MODEL)
         assert after.sigma / belief.sigma == pytest.approx(IDEAL_SHRINK, rel=1e-13)
 
@@ -431,7 +479,7 @@ class TestRunEstimation:
         # 1e200 raised OverflowError at its first shot, as sigma**4 overflowed.  The belief
         # rejects such a sigma, so no shot runs.
         shots = []
-        with pytest.raises(ValueError, match=re.escape("sigma must be in (0, 2**254)")):
+        with pytest.raises(ValueError, match=re.escape(RANGE_ERROR)):
             prior = GaussianBelief(0.0, sigma)
             run_estimation(prior, n_shots, REFERENCE_MODEL, lambda probe: shots.append(probe) or 1)
         assert shots == []
@@ -440,5 +488,11 @@ class TestRunEstimation:
         sigma = math.nextafter(2.0**254, 0.0)
         final, _ = run_estimation(GaussianBelief(0.0, sigma), 30, REFERENCE_MODEL, lambda p: 1)
         assert 0.0 < final.sigma < sigma and math.isfinite(final.mu)
-        with pytest.raises(NumericalConsistencyError, match="subnormal"):
-            run_estimation(GaussianBelief(0.0, 1e-100), 3, REFERENCE_MODEL, lambda p: 1)
+        # 1.3e-77 is in range, but one ideal shot takes it below FLOOR: the run raises at that
+        # shot, the first, after measuring it.  A one-shot run used to return the posterior.
+        for n_shots in (1, 3):
+            shots = []
+            with pytest.raises(NumericalConsistencyError, match=re.escape("below 2**-255.5")):
+                prior = GaussianBelief(0.0, 1.3e-77)
+                run_estimation(prior, n_shots, IDEAL_MODEL, lambda probe: shots.append(probe) or 1)
+            assert len(shots) == 1

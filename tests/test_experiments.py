@@ -19,7 +19,6 @@ from freqtrack.estimator import (
     GaussianBelief,
     LikelihoodModel,
     ProbeSettings,
-    _sigma_in_range,
     design_probe,
     likelihood_probability,
     optimal_tau,
@@ -46,33 +45,6 @@ from freqtrack.qubitsim import (
     standard_normals,
     step_noise,
 )
-
-
-class TestSigmaRange:
-    @pytest.mark.parametrize(
-        "sigma", [1.3e-77, 1.0, 1e6, 1e76, math.nextafter(2.0**254, 0.0)], ids=str
-    )
-    def test_accepted(self, sigma):
-        assert _sigma_in_range(sigma)
-        assert 0.0 < sigma**2 < math.inf and sys.float_info.min <= sigma**4 < math.inf
-
-    @pytest.mark.parametrize(
-        "sigma",
-        [1e-300, 1e-82, 1e-80, 2.0**254, 1e77, math.nextafter(2.0**256, 0.0), 2.0**256, 1e100,
-         1e300, 0.0, -1.0, math.nan, math.inf],
-        ids=str,
-    )
-    def test_rejected(self, sigma):
-        assert not _sigma_in_range(sigma)
-
-    def test_boundary_is_where_sigma_pow_4_underflows(self):
-        # The smallest accepted sigma: bisect the doubles for a normal sigma**4.
-        lo, hi = 1e-80, 1.3e-77
-        while math.nextafter(lo, hi) < hi:
-            mid = math.sqrt(lo * hi) if hi / lo > 1.0 + 1e-9 else math.nextafter(lo, hi)
-            lo, hi = (lo, mid) if mid**4 >= sys.float_info.min else (mid, hi)
-        assert lo**4 < sys.float_info.min <= hi**4
-        assert not _sigma_in_range(lo) and _sigma_in_range(hi)
 
 
 class TestCampaign:
@@ -204,9 +176,8 @@ class TestCampaign:
     def test_prior_outside_the_closed_form_range_rejected(self, sigma):
         # A finite, positive sigma whose sigma**4 is subnormal, underflows to 0 or
         # overflows: campaigns used to run it and report a final sigma of 0.0.  The
-        # overflowing ones now raise at the belief, the rest at the config.
-        match = "sigma must be in" if sigma > 1.0 else re.escape("sigma**4 is subnormal")
-        with pytest.raises(ValueError, match=match):
+        # belief holds the one range, so each raises there, before the config is built.
+        with pytest.raises(ValueError, match=re.escape("sigma must be in [2**-255.5, 2**254)")):
             CampaignConfig(
                 run_count=3,
                 n_shots=2,
@@ -271,8 +242,10 @@ def _replay_run(cfg: CampaignConfig, i: int, extra: int = 0) -> tuple[float, flo
 
 
 class TestCampaignReplay:
-    # The lockstep campaign and a run replayed on its own stream through
-    # run_estimation differ only where np.exp and math.exp differ by an ulp.
+    # The lockstep campaign and a run replayed on its own stream through run_estimation
+    # agree to rounding, not bit for bit: the lockstep carries each run's variance, while
+    # run_estimation carries sigma and squares it every shot.  At seed 6, most runs whose
+    # every math.exp equalled np.exp still end at different bits.
     @pytest.mark.parametrize(
         "kind, update_model",
         [
@@ -453,7 +426,7 @@ class TestClosedLoopTrack:
         with pytest.raises(ValueError, match=re.escape("repetitions must be >= 1")):
             closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 0, repetitions=0)
         # sigma0**4 subnormal used to run silently, and sigma0**2 overflowing to warn mid-run.
-        match = re.escape("not in (0, 2**254), or sigma**4 is subnormal")
+        match = re.escape("sigma0 must be in [2**-255.5, 2**254)")
         for sigma0 in (1e-80, 1e300):
             with pytest.raises(ValueError, match=match):
                 closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 0, sigma0=sigma0)
@@ -531,6 +504,13 @@ class TestFringeRecord:
     def test_contracts(self, taus, flips, match):
         with pytest.raises(ValueError, match=match):
             FringeRecord(tau_values=taus, flip_fractions=flips, feedback=True)
+
+    def test_compares_by_identity(self):
+        # With generated __eq__ and __hash__ over the arrays, == raised ValueError (the truth
+        # value of an array is ambiguous) and hash raised TypeError.
+        a, b = (FringeRecord(np.linspace(1, 2, 10), np.zeros(10), True) for _ in range(2))
+        assert (a == b) is False and (a == a) is True
+        assert len({a, b, a}) == 2
 
 
 class TestWarmStartTracking:

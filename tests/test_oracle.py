@@ -1,12 +1,14 @@
 """Grid-posterior oracle: discretization, Bayes updates, moments, KL divergence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from freqtrack import oracle
 from freqtrack.estimator import (
+    IDEAL_MODEL,
     REFERENCE_MODEL,
     GaussianBelief,
     LikelihoodModel,
@@ -41,8 +43,6 @@ class TestFromGaussian:
         belief = GaussianBelief(0.0, 1e6)
         with pytest.raises(ValueError):
             oracle.from_gaussian(belief, points=512)
-        with pytest.raises(ValueError):
-            oracle.from_gaussian(belief, half_width_sigmas=4.0)
 
     @pytest.mark.parametrize(
         "eps, weights, match",
@@ -121,6 +121,17 @@ class TestMoments:
         mean, std = oracle.moments(grid)
         assert mean == pytest.approx(2e5, abs=1e-6 * 7e5)
         assert std == pytest.approx(7e5, rel=1e-6)
+
+    def test_a_fit_below_the_sigma_floor_raises(self):
+        # The fit is a GaussianBelief, so it holds the belief's range: one ideal shot narrows
+        # the exact posterior of a 1.3e-77 prior to 1.17e-77, below 2**-255.5.
+        belief = GaussianBelief(0.0, 1.3e-77)
+        post = oracle.grid_update(
+            oracle.from_gaussian(belief), 1, design_probe(belief, IDEAL_MODEL), IDEAL_MODEL
+        )
+        assert oracle.moments(post)[1] < 2.0**-255.5
+        with pytest.raises(ValueError, match=re.escape("sigma must be in [2**-255.5, 2**254)")):
+            oracle.gaussian_fit(post)
 
 
 class TestKLDivergence:

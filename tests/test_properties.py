@@ -176,11 +176,11 @@ def test_lockstep_outcome_is_u_below_the_truth_models_p_plus(truth, update_model
 IDEAL_SHRINK = math.sqrt(1.0 - math.exp(-1.0))  # per-shot sigma ratio, ideal model
 
 
-def _raises_subnormal(run):
+def _raises_subnormal(run):  # a posterior sigma below 2**-255.5, where sigma**4 turns subnormal
     try:
         run()
     except NumericalConsistencyError as exc:
-        assert "subnormal" in str(exc)
+        assert "below 2**-255.5" in str(exc)
         return True
     return False
 
@@ -188,10 +188,10 @@ def _raises_subnormal(run):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(1, 1200), st.floats(1.0, 1e6), st.sampled_from((-1.0, 1.0)))
 def test_lockstep_raises_on_the_same_shot_counts_as_run_estimation(n, ulps, sign):
-    # sigma0 puts sigma**4 at the smallest normal double on entering shot n, give or take
+    # sigma0 puts sigma at the floor 2**-255.5 after the last shot, n, give or take
     # ulps * n units of 2**-52.  The two forms round differently, so closer than ~n * 2**-55
     # to that point (measured: 2.7e-17 n at most) their decisions may differ.
-    sigma0 = 2.0**-255.5 / IDEAL_SHRINK ** (n - 1) * (1.0 + sign * ulps * n * 2.0**-52)
+    sigma0 = 2.0**-255.5 / IDEAL_SHRINK**n * (1.0 + sign * ulps * n * 2.0**-52)
     zero, u = np.zeros(1), np.full((n, 1), 0.5)
     per_run = _raises_subnormal(
         lambda: _lockstep_per_run(zero, np.full(1, sigma0), zero, u, IDEAL_MODEL, IDEAL_MODEL)
@@ -213,13 +213,13 @@ def _lockstep_per_run(mu, sigma, eps, u, truth_model, update_model, noise=None, 
     var = sigma**2  # carried through every shot; the square root is taken once at the end
     last = len(u) - 1
     for shot, threshold in enumerate((1.0 + truth_model.alpha) - 2.0 * u):
-        # The scalar form's check that sigma**4 stays normal: exact on the last shot, as var never
-        # grows, and every 512th, since tau**2 overflows >= 780 shots past it (<= 0.67 bits a shot).
-        if (shot == last or shot % 512 == 511) and not _sigma_in_range(math.sqrt(var.min())):
-            raise NumericalConsistencyError(f"sigma**4 is subnormal (sigma={math.sqrt(var.min())})")
         tau = _optimal_tau_vec(var, update_model)
         up = beta * np.exp(tau * neg_rate) * np.sin(TWO_PI * (mu - eps_true) * tau) < threshold
         mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
+        # The scalar form's floor on the posterior sigma: exact after the last shot, as var never
+        # grows, and after every 512th, since tau**2 overflows >= 780 shots past it.
+        if (shot == last or shot % 512 == 511) and not _sigma_in_range(sigma := math.sqrt(var.min())):
+            raise NumericalConsistencyError(f"posterior sigma {sigma} is below 2**-255.5")
         if comp is not None:
             cycle = (tau + READOUT_TIME) + DEPLETION_TIME  # cycle_duration, elementwise
             comp = noise.transition(comp, noise.decay(cycle[:, None]), z[shot])
@@ -293,23 +293,23 @@ def test_flat_update_model_keeps_the_sign_of_each_zero_step(n):
 @pytest.mark.parametrize("n", [2, 8, CAP - 1, CAP])  # CAP - 1: the 1/f cap
 def test_lockstep_checks_sigma_at_the_nodes_it_visits(n):
     # Under alpha < 0 an outcome of +1 reduces the variance more than -1, so the all +1 node
-    # has the smallest variance entering the last shot.  sigma0 puts only that node's sigma**4
-    # below the smallest normal double, so a run raises on the all +1 path, as run_estimation
-    # does, and not on the all -1 one.  T is infinite: at the reference T = 10 us, tau saturates
-    # at T where sigma**4 turns subnormal, and no variance moves by an ulp.
+    # has the smallest variance after the last shot.  sigma0 puts only that node's sigma below
+    # the floor 2**-255.5, so a run raises on the all +1 path, as run_estimation does, and not
+    # on the all -1 one.  T is infinite: at the reference T = 10 us, tau saturates at T where
+    # sigma**4 turns subnormal, and no variance moves by an ulp.
     model = LikelihoodModel(alpha=REFERENCE_MODEL.alpha, beta=REFERENCE_MODEL.beta, T=math.inf)
 
-    def entering_last(m, sigma0):
-        _, trace = run_estimation(GaussianBelief(0.0, sigma0), n - 1, model, lambda probe: m)
-        return trace[-1].sigma
+    def after_last(m, sigma0):
+        final, _ = run_estimation(GaussianBelief(0.0, sigma0), n, model, lambda probe: m)
+        return final.sigma
 
     # T = inf makes the schedule scale-free: a unit prior gives each path's shrink factor.
-    up, down = entering_last(1, 1.0), entering_last(-1, 1.0)
-    sigma0 = 2.0**-255.5 / up * (down / up) ** (-0.5 / (n - 1))
+    up, down = after_last(1, 1.0), after_last(-1, 1.0)
+    sigma0 = 2.0**-255.5 / up * (down / up) ** (-0.5 / n)
     *_, var = _outcome_tree(sigma0, n, model, model, None)
     assert len(var) == n + 1  # so _lockstep reads every shot's variance from the tree
-    subnormal = [k for k, v in enumerate(var[n - 1]) if not _sigma_in_range(math.sqrt(v))]
-    assert subnormal == [2 ** (n - 1) - 1]  # the all +1 node, last in its level
+    subnormal = [k for k, v in enumerate(var[n]) if not _sigma_in_range(math.sqrt(v))]
+    assert subnormal == [2**n - 1]  # the all +1 node, last in its level
 
     zero = np.zeros(1)
     for m, u in ((1, 0.0), (-1, 1.0 - 2.0**-53)):
