@@ -288,7 +288,7 @@ def _run_validate_gaussian(scenario: Scenario) -> tuple[list[str], list[list], d
         raise ScenarioError(str(exc))
     return (
         ["tau_multiplier", "tau_s", "m", "posterior_sigma_hz", "kl_bits", "n_modes"],
-        [[r.tau_multiplier, r.tau, r.m, r.posterior_sigma, r.kl_bits, r.n_modes] for r in rows],
+        [list(row) for row in rows],
         None,
     )
 

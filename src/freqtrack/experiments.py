@@ -31,15 +31,7 @@ from .estimator import (
     optimal_detuning,
     optimal_tau,
 )
-from .qubitsim import (
-    DEPLETION_TIME,
-    READOUT_TIME,
-    NoiseProcess,
-    _polar,
-    cycle_duration,
-    rng_for_run,
-    standard_normals,
-)
+from .qubitsim import NoiseProcess, _polar, rng_for_run, standard_normals
 
 _TWO_PI = _arrays(TWO_PI)[0]  # an operand of every tabulated shot's outcome test
 
@@ -116,12 +108,6 @@ def _tree_depth(n: int, k: int) -> int:
     return min(n, (_TREE_BYTES // (8 * (6 + 2 * k))).bit_length() - 1)
 
 
-def _bank_step(noise, tau):
-    """(decay, kick) of each component over each tau's cycle_duration: comp * decay + kick * z."""
-    decay = noise.decay(((tau + READOUT_TIME) + DEPLETION_TIME)[:, None])
-    return decay, noise.innovation(decay)
-
-
 @functools.lru_cache(maxsize=4)  # the five commands use 3 trees
 def _outcome_tree(sigma0, depth, truth_model, update_model, noise):
     """Per-shot tuples (taus, amps, steps, var[, decays, kicks]) of depth read-only levels.
@@ -140,7 +126,7 @@ def _outcome_tree(sigma0, depth, truth_model, update_model, noise):
             step[up::2], var_next[up::2] = _posterior_moments_vec(
                 -0.0, var, tau, np.full(var.size, up), update_model
             )
-        level = (tau, amp, step, var_next) + (_bank_step(noise, tau) if noise is not None else ())
+        level = (tau, amp, step, var_next) + (noise.cycle_step(tau) if noise is not None else ())
         for tables, table in zip(tree, _arrays(*level)):
             tables.append(table)
     return tuple(map(tuple, tree))
@@ -181,7 +167,7 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None,
             up = amp * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
             mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
             if comp is not None:
-                decay, kick = _bank_step(noise, tau)
+                decay, kick = noise.cycle_step(tau)
         if comp is not None:
             comp = comp * decay + kick * z[shot]
             eps_true = eps + np.add.reduce(comp, 1)
@@ -239,8 +225,7 @@ def run_campaign(cfg: CampaignConfig) -> ErrorStats:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One (tau, outcome) point of the Gaussian-validity sweep."""
 
     tau_multiplier: float
@@ -334,8 +319,8 @@ def closed_loop_track(
     per cycle n_shots estimation uniforms and one verification uniform that both arms use, then
     a drifting process's normals: k for its bank's stationary start, then k per shot in the same
     order.  The bank carries all of a drifting shift, across every cycle of the repetition, and
-    steps over each shot's cycle_duration.  So the fringes, averaged over repetitions advanced in
-    lockstep, differ only by the feedback.
+    steps over each shot's cycle by NoiseProcess.cycle_step.  So the fringes, averaged over
+    repetitions advanced in lockstep, differ only by the feedback.
     """
     if n_shots < 0:
         raise ValueError(f"n_shots must be >= 0, got {n_shots}")
@@ -358,11 +343,11 @@ def closed_loop_track(
     for j, tau_j in enumerate(taus):
         z = None if comp is None else dz[j * (n_shots + 1) :]
         mu_hat, _, shift, comp = _lockstep(mu_hat, sigma0, eps, u[j, :-1], model, model, noise, z, comp)
-        for arm, offset in enumerate((mu_hat, 0.0)):  # the open arm's drive is not offset
-            probe = ProbeSettings(tau_j, target_detuning + offset)
-            flips[arm, j] = np.mean(u[j, -1] < likelihood_probability(1, shift, probe, model))
+        probe = ProbeSettings(tau_j, target_detuning + np.stack((mu_hat, np.zeros(repetitions))))
+        flips[:, j] = np.mean(u[j, -1] < likelihood_probability(1, shift, probe, model), axis=1)
         if comp is not None:  # the bank steps over the verification shot's cycle
-            comp = noise.transition(comp, noise.decay(cycle_duration(probe)), z[n_shots])
+            decay, kick = noise.cycle_step(taus[j : j + 1])
+            comp = comp * decay + kick * z[n_shots]
 
     return (
         FringeRecord(tau_values=taus, flip_fractions=flips[0], feedback=True),

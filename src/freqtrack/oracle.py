@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import GaussianBelief, LikelihoodModel, ProbeSettings, likelihood_probability
+from .estimator import GaussianBelief, LikelihoodModel, ProbeSettings, _sigma_in_range, likelihood_probability
 
 DEFAULT_POINTS = 2**14
 HALF_WIDTH_SIGMAS = 8.0  # the grid spans the belief's mean +- 8 sigma
@@ -72,8 +72,10 @@ def moments(p: GridPosterior) -> tuple[float, float]:
 
 
 def gaussian_fit(p: GridPosterior) -> GaussianBelief:
-    """Method-of-moments Gaussian fit of the grid distribution."""
+    """Method-of-moments Gaussian fit of the grid distribution; ArithmeticError outside a belief's range."""
     mean, std = moments(p)
+    if not _sigma_in_range(std):  # a runtime failure, as grid_update's underflow, not a bad argument
+        raise ArithmeticError(f"posterior sigma {std} is outside [2**-255.5, 2**254)")
     return GaussianBelief(mean, std)
 
 

@@ -82,7 +82,7 @@ def standard_normals(u: np.ndarray) -> np.ndarray:
     return np.concatenate((scale * (1.0 - t * t), scale * (2.0 * t)), axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseProcess:
     """Generator parameters for the true frequency-shift trajectory.
 
@@ -92,12 +92,11 @@ class NoiseProcess:
     octave_count: number of OU components for 1/f synthesis (>= 3).
     band: (f_low, f_high) corner-frequency band for 1/f synthesis [Hz].
 
-    A drifting shift is the sum of a bank of OU components of equal variance:
-    one at rate 1/correlation_time for ou_drift, octave_count at log-spaced
-    rates over the band for one_over_f.  A quasistatic shift has none.  The
-    bank is set once: rates [1/s], a read-only array, and component_variance
-    [Hz^2], the float stationary variance of each component, which together
-    give sigma_eps^2.
+    A drifting shift is the sum of a bank of OU components of equal variance: one at rate
+    1/correlation_time for ou_drift, octave_count at log-spaced rates over the band for one_over_f.
+    A quasistatic shift has none.  The bank is set once: rates [1/s], a read-only array, and
+    component_variance [Hz^2], the float stationary variance of each component, which together
+    give sigma_eps^2.  Processes compare and hash by these two alone (_bank), not by their fields.
     """
 
     kind: str = QUASISTATIC
@@ -126,6 +125,13 @@ class NoiseProcess:
             rates = 2.0 * math.pi * np.logspace(math.log10(f_low), math.log10(f_high), self.octave_count)
         object.__setattr__(self, "rates", _arrays(rates)[0])
         object.__setattr__(self, "component_variance", self.sigma_eps**2 / max(self.rates.size, 1))
+        object.__setattr__(self, "_bank", (self.rates.tobytes(), self.component_variance))
+
+    def __eq__(self, other):
+        return isinstance(other, NoiseProcess) and self._bank == other._bank
+
+    def __hash__(self):
+        return hash(self._bank)
 
     def __reduce__(self):  # copies rerun __post_init__, so their rates stay read-only
         return type(self), (self.kind, self.sigma_eps, self.correlation_time, self.octave_count, self.band)
@@ -146,6 +152,11 @@ class NoiseProcess:
     def innovation(self, decay):
         """Scale of the normal that keeps a component stationary over a step of this decay."""
         return np.sqrt(self.component_variance * (1.0 - decay**2))
+
+    def cycle_step(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(decay, kick) of each component over each tau's probing cycle: comp * decay + kick * z."""
+        decay = self.decay(((tau + READOUT_TIME) + DEPLETION_TIME)[:, None])  # cycle_duration's order
+        return decay, self.innovation(decay)
 
 
 def initial_state(process: NoiseProcess, rng: np.random.Generator) -> np.ndarray:

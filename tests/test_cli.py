@@ -409,6 +409,14 @@ class TestExitCodes:
             assert "below 2**-255.5" in capsys.readouterr().err
             assert list(tmp_path.iterdir()) == []
 
+    def test_validate_gaussian_posterior_below_the_sigma_floor_exits_2(self, tmp_path, capsys):
+        # sigma0 is in range, but one ideal shot narrows the exact posterior below 2**-255.5: a
+        # runtime failure, which used to exit 1 as an invalid scenario.
+        argv = ["validate-gaussian", "--sigma0", "1.3e-77", "--alpha", "0", "--beta", "1"]
+        assert main([*argv, "--coherence-time", "inf", "--output", str(tmp_path / "v.csv")]) == 2
+        assert "runtime error: posterior sigma 1.166600475378003e-77 is outside" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_largest_seed_accepted(self, tmp_path):
         out = tmp_path / "c.csv"
         argv = ["campaign", "--runs", "3", "--n", "2", "--seed", str(2**128 - 1)]
@@ -592,6 +600,16 @@ class TestOtherCommands:
         assert len(out.read_text().splitlines()) == 3 + 40
         summary = json.loads((tmp_path / "track.summary.json").read_text())
         assert set(summary["summary"]) == {"feedback", "no_feedback"}
+
+    def test_the_five_commands_at_their_defaults_fit_the_tree_cache(self, tmp_path, monkeypatch):
+        # campaign, track and compare-frequentist build one outcome tree each (track reuses its
+        # tree every cycle), and the cache keeps all three, so repeated commands build none.
+        monkeypatch.setenv("FREQTRACK_OUTDIR", str(tmp_path))
+        experiments._outcome_tree.cache_clear()
+        for command in COMMANDS:
+            assert main([command]) == 0
+        info = experiments._outcome_tree.cache_info()
+        assert info.misses == info.currsize == 3 < info.maxsize
 
     def test_compare_frequentist(self, tmp_path):
         out = tmp_path / "cmp.csv"

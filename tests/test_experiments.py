@@ -356,14 +356,16 @@ class TestClosedLoopTrack:
         assert fit_fb.t2 > fit_open.t2
         assert fit_fb.frequency == pytest.approx(1e6, rel=0.02)
 
+    @pytest.mark.parametrize("model", [IDEAL_MODEL, REFERENCE_MODEL], ids=["ideal", "reference"])
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_open_arm_rebuilt_from_each_repetitions_row(self, seed):
+    def test_both_arms_rebuilt_from_each_repetitions_row(self, seed, model):
         # Repetition r reads rng_for_run(seed, r, W): two uniforms for its shift's normal, then
         # per cycle n estimation uniforms and one verification uniform, then two per pair of a
         # drifting bank's k normals, padded to W, a multiple of 4 (doubles per Philox block).
         # The bank's first k normals draw its stationary start, then k step it over each shot's
         # cycle: the estimation shots, then the verification shot, cycle after cycle.  The open
-        # arm flips where the verification uniform falls below P(+1) at the nominal detuning.
+        # arm flips where the verification uniform falls below P(+1) at the nominal detuning,
+        # the feedback arm where it falls below P(+1) at the nominal detuning plus the estimate.
         n, m, reps, sigma_eps, tau_max = 3, 10, 30, 30e3, 7e-6
         taus = np.linspace(tau_max / m, tau_max, m)
         for noise, doubles in (
@@ -375,7 +377,7 @@ class TestClosedLoopTrack:
             used = 2 + m * (n + 1) + drift + drift % 2
             width = used + -used % 4
             assert (used, width) == doubles
-            flips = np.zeros((reps, m), dtype=bool)
+            flips, fb_flips = np.zeros((2, reps, m), dtype=bool)
             for r in range(reps):
                 row = rng_for_run(seed, r, width).random(width)
                 shift = sigma_eps * standard_normals(row[:2])[0]
@@ -386,7 +388,7 @@ class TestClosedLoopTrack:
 
                 def measure(probe):  # one shot at the shift, then the bank steps over its cycle
                     nonlocal bank, shift
-                    outcome = sample_outcome(shift, probe, IDEAL_MODEL, shots)
+                    outcome = sample_outcome(shift, probe, model, shots)
                     if k:
                         bank = noise.transition(bank, noise.decay(cycle_duration(probe)), next(z))
                         shift = bank.sum()
@@ -397,10 +399,13 @@ class TestClosedLoopTrack:
                     first = 2 + j * (n + 1)
                     shots = SimpleNamespace(random=iter(row[first : first + n + 1]).__next__)
                     prior = GaussianBelief(mu, 30e3)  # closed_loop_track's default sigma0
-                    mu = run_estimation(prior, n, IDEAL_MODEL, measure)[0].mu
+                    mu = run_estimation(prior, n, model, measure)[0].mu
+                    p_fb = likelihood_probability(1, shift, ProbeSettings(tau, 1e6 + mu), model)
+                    fb_flips[r, j] = row[first + n] < p_fb  # the verification uniform
                     flips[r, j] = measure(ProbeSettings(tau, 1e6)) == 1  # the nominal detuning
-            _, open_loop = closed_loop_track(noise, n, m, tau_max, IDEAL_MODEL, seed, repetitions=reps)
+            fb, open_loop = closed_loop_track(noise, n, m, tau_max, model, seed, repetitions=reps)
             np.testing.assert_array_equal(open_loop.flip_fractions, flips.mean(axis=0))
+            np.testing.assert_array_equal(fb.flip_fractions, fb_flips.mean(axis=0))
 
     def test_open_arm_t2_under_ou_drift_is_the_predicted_one(self):
         # Under OU drift much slower than a track (tau_c = 10 ms) each repetition's shift is

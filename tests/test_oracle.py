@@ -124,13 +124,14 @@ class TestMoments:
 
     def test_a_fit_below_the_sigma_floor_raises(self):
         # The fit is a GaussianBelief, so it holds the belief's range: one ideal shot narrows
-        # the exact posterior of a 1.3e-77 prior to 1.17e-77, below 2**-255.5.
+        # the exact posterior of a 1.3e-77 prior to 1.17e-77, below 2**-255.5.  That is a
+        # runtime failure, as grid_update's underflow is, not a bad argument.
         belief = GaussianBelief(0.0, 1.3e-77)
         post = oracle.grid_update(
             oracle.from_gaussian(belief), 1, design_probe(belief, IDEAL_MODEL), IDEAL_MODEL
         )
         assert oracle.moments(post)[1] < 2.0**-255.5
-        with pytest.raises(ValueError, match=re.escape("sigma must be in [2**-255.5, 2**254)")):
+        with pytest.raises(ArithmeticError, match=re.escape("is outside [2**-255.5, 2**254)")):
             oracle.gaussian_fit(post)
 
 

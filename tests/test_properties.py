@@ -37,7 +37,7 @@ from freqtrack.experiments import (
     closed_loop_track,
     run_campaign,
 )
-from freqtrack.qubitsim import DEPLETION_TIME, READOUT_TIME, NoiseProcess
+from freqtrack.qubitsim import DEPLETION_TIME, READOUT_TIME, NoiseProcess, cycle_duration
 
 # Every posterior variance is at least this fraction of the prior's: the
 # reduction is (beta/bias)^2 x^2 exp(-x^2) sigma^2 with x = 2 pi sigma tau,
@@ -386,6 +386,18 @@ class TestOutcomeTreeCache:
                 with pytest.raises(ValueError, match="read-only"):
                     table[0, 0] = 0.0
 
+    @pytest.mark.parametrize("kind", ["ou_drift", "one_over_f"])
+    def test_cycle_step_is_the_step_over_one_cycle_duration(self, kind):
+        # Each tau of a tree's levels: the bank steps over a shot's cycle by the bits of
+        # decay(cycle_duration) and its innovation.
+        noise = NoiseProcess(kind=kind)
+        for tau in np.concatenate(_outcome_tree(1e6, 6, REFERENCE_MODEL, IDEAL_MODEL, noise)[0]):
+            decay, kick = noise.cycle_step(np.array([tau]))
+            expected = noise.decay(cycle_duration(ProbeSettings(tau, 0.0)))
+            assert decay.shape == kick.shape == (1, noise.rates.size)
+            np.testing.assert_array_equal(decay[0], expected)
+            np.testing.assert_array_equal(kick[0], noise.innovation(expected))
+
     def test_depth_is_the_most_levels_within_the_byte_budget(self):
         assert _tree_depth(CAP, 0) == _tree_depth(CAP, 1) == CAP
         assert _tree_depth(CAP, 2) == _tree_depth(CAP, 6) == CAP - 1
@@ -419,15 +431,17 @@ class TestOutcomeTreeCache:
         ids=["ou_band", "ou_octave_count", "one_over_f_correlation_time"],
     )
     def test_processes_with_one_bank_give_the_same_bits(self, first, second):
-        # Unequal processes whose drift tables read the same rates and component variance.
+        # Processes whose fields differ only where their bank does not read them compare equal,
+        # so they share one tree.
         prior = GaussianBelief(0.0, 1e6)
-        assert first != second
+        assert first == second and hash(first) == hash(second)
         np.testing.assert_array_equal(first.rates, second.rates)
         bits = []
         for noise in (first, second):
             r = run_campaign(CampaignConfig(20, 16, prior, REFERENCE_MODEL, IDEAL_MODEL, noise, 3))
             bits.append(_bits([r.eps_true, r.eps_hat, r.final_sigmas]))
         assert bits[0] == bits[1]
+        assert _outcome_tree.cache_info().misses == 1
 
     def test_a_full_one_over_f_tree_stays_small(self):
         # (6 + 2k) 2**14 doubles for the default k = 6 bank; the cache holds up to 4 such trees.
