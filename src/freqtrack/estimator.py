@@ -124,9 +124,15 @@ def _validate_outcome(m: int) -> int:
 def likelihood_probability(m: int, eps, probe: ProbeSettings, model: LikelihoodModel):
     """Probability of outcome m given the true shift eps (scalar or ndarray)."""
     _validate_outcome(m)
-    phase = TWO_PI * (probe.delta_f - eps) * probe.tau
-    decay = math.exp(-probe.tau * model.inv_T)
-    return 0.5 + 0.5 * m * (model.alpha + model.beta * decay * np.cos(phase))
+    return 0.5 + 0.5 * m * _contrast(eps, probe.tau, probe.delta_f, math.exp(-probe.tau * model.inv_T), model)
+
+
+def _contrast(eps, tau, delta_f, decay, model: LikelihoodModel):
+    """x = alpha + beta decay cos(2 pi (delta_f - eps) tau), decay = e^(-tau/T): P(m) = 0.5 + 0.5 m x.
+
+    On floats or broadcasting arrays, so a driver can score many probes, or both outcomes, at once.
+    """
+    return model.alpha + model.beta * decay * np.cos(TWO_PI * (delta_f - eps) * tau)
 
 
 def optimal_tau(sigma: float, T: float) -> float:

@@ -24,6 +24,7 @@ from .estimator import (
     NumericalConsistencyError,
     ProbeSettings,
     _arrays,
+    _contrast,
     _optimal_tau_vec,
     _posterior_moments_vec,
     _sigma_in_range,
@@ -256,9 +257,10 @@ def gaussian_validity_sweep(
     rows = []
     for mult in tau_multipliers:
         tau = mult * tau_opt
-        probe = ProbeSettings(tau=tau, delta_f=optimal_detuning(prior.mu, tau))
+        decay = math.exp(-tau * model.inv_T)  # as likelihood_probability; x serves both outcomes
+        x = _contrast(grid_prior.eps_values, tau, optimal_detuning(prior.mu, tau), decay, model)
         for m in (-1, +1):
-            post = oracle.grid_update(grid_prior, m, probe, model)
+            post = oracle._reweight(grid_prior, 0.5 + 0.5 * m * x)  # grid_update's bits
             fit = oracle.gaussian_fit(post)
             gauss = oracle.GridPosterior(
                 post.eps_values, oracle.normal_weights(post.eps_values, fit.mu, fit.sigma)
@@ -326,33 +328,36 @@ def closed_loop_track(
         raise ValueError(f"n_shots must be >= 0, got {n_shots}")
     if m_cycles < 2:
         raise ValueError(f"m_cycles must be >= 2, got {m_cycles}")
-    if not tau_max > 0.0:
-        raise ValueError(f"tau_max must be positive, got {tau_max}")
+    if not 0.0 < tau_max < math.inf:  # np.linspace would warn, and each cycle's tau be nan
+        raise ValueError(f"tau_max must be positive and finite, got {tau_max}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if not _sigma_in_range(sigma0):
         raise ValueError(f"sigma0 must be in [2**-255.5, 2**254), got {sigma0}")
 
-    shots = m_cycles * (n_shots + 1)
+    taus = np.linspace(tau_max / m_cycles, tau_max, m_cycles)
+    u, mu_hat, shift = _track(noise, n_shots, taus, model, seed, repetitions, sigma0)
+    delta_f = target_detuning + np.stack((mu_hat, np.zeros_like(mu_hat)))  # feedback arm, open arm
+    decay = np.array([math.exp(-tau * model.inv_T) for tau in taus])  # likelihood_probability's bits
+    flips = np.mean(u < 0.5 + 0.5 * _contrast(shift, taus[:, None], delta_f, decay[:, None], model), axis=2)
+    return FringeRecord(taus, flips[0], feedback=True), FringeRecord(taus, flips[1], feedback=False)
+
+
+def _track(noise, n_shots, taus, model, seed, repetitions, sigma0):
+    """closed_loop_track's record, (M, R) each: per cycle and repetition, the verification uniform,
+    the estimate fed forward and the shift at the verification shot."""
+    shots = taus.size * (n_shots + 1)
     z0, rows, comp, dz = _rows(seed, repetitions, shots, noise, shots)
     eps = noise.sigma_eps * z0 if comp is None else np.zeros(repetitions)  # or all in the bank
-    u = rows.reshape(repetitions, m_cycles, n_shots + 1).transpose(1, 2, 0)  # cycle, variate, rep
-    taus = np.linspace(tau_max / m_cycles, tau_max, m_cycles)
-    flips = np.zeros((2, m_cycles))  # feedback arm, open arm
-    mu_hat = np.zeros(repetitions)  # warm start carries across the M cycles of each repetition
-    for j, tau_j in enumerate(taus):
+    u = rows.reshape(repetitions, taus.size, n_shots + 1).transpose(1, 2, 0)  # cycle, variate, rep
+    mu, shift = np.zeros((2, taus.size, repetitions))
+    for j in range(taus.size):  # warm start mu[j - 1]: at j = 0, the zeros of row -1
         z = None if comp is None else dz[j * (n_shots + 1) :]
-        mu_hat, _, shift, comp = _lockstep(mu_hat, sigma0, eps, u[j, :-1], model, model, noise, z, comp)
-        probe = ProbeSettings(tau_j, target_detuning + np.stack((mu_hat, np.zeros(repetitions))))
-        flips[:, j] = np.mean(u[j, -1] < likelihood_probability(1, shift, probe, model), axis=1)
+        mu[j], _, shift[j], comp = _lockstep(mu[j - 1], sigma0, eps, u[j, :-1], model, model, noise, z, comp)
         if comp is not None:  # the bank steps over the verification shot's cycle
             decay, kick = noise.cycle_step(taus[j : j + 1])
             comp = comp * decay + kick * z[n_shots]
-
-    return (
-        FringeRecord(tau_values=taus, flip_fractions=flips[0], feedback=True),
-        FringeRecord(tau_values=taus, flip_fractions=flips[1], feedback=False),
-    )
+    return u[:, -1], mu, shift
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +386,13 @@ class FitError(RuntimeError):
 
 def _fringe_model(tau, c, A, t2, f, phi):
     return c + A * np.exp(-((tau / t2) ** 2)) * np.cos(TWO_PI * f * tau + phi)
+
+
+def _fringe_jacobian(tau, c, A, t2, f, phi):
+    """_fringe_model's derivatives by (c, A, t2, f, phi), one column each."""
+    envelope, phase = np.exp(-((tau / t2) ** 2)), TWO_PI * f * tau + phi
+    d_A, d_phi = envelope * np.cos(phase), -A * envelope * np.sin(phase)
+    return np.stack((np.ones_like(tau), d_A, A * d_A * 2.0 * tau**2 / t2**3, d_phi * TWO_PI * tau, d_phi), 1)
 
 
 def fit_fringe(record: FringeRecord) -> FringeFit:
@@ -423,17 +435,8 @@ def fit_fringe(record: FringeRecord) -> FringeFit:
     p0 = [float(y.mean()), amp0, span / 2.0, f0, 0.0]
 
     try:
-        popt, pcov = curve_fit(
-            _fringe_model,
-            tau,
-            y,
-            p0=p0,
-            bounds=(
-                [-np.inf, 0.0, dt / 10.0, 0.0, -np.pi],
-                [np.inf, np.inf, np.inf, 10.0 * f0 + 1.0 / dt, np.pi],
-            ),
-            maxfev=20000,
-        )
+        bounds = [-np.inf, 0.0, dt / 10.0, 0.0, -np.pi], [np.inf, np.inf, np.inf, 10.0 * f0 + 1.0 / dt, np.pi]
+        popt, pcov = curve_fit(_fringe_model, tau, y, p0, jac=_fringe_jacobian, bounds=bounds, maxfev=20000)
     except RuntimeError as exc:
         resid = y - _fringe_model(tau, *p0)
         raise FitError(

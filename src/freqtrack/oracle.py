@@ -57,7 +57,12 @@ def grid_update(
     p: GridPosterior, m: int, probe: ProbeSettings, model: LikelihoodModel
 ) -> GridPosterior:
     """Exact Bayes update: multiply by the measurement likelihood and renormalize."""
-    w = p.weights * likelihood_probability(m, p.eps_values, probe, model)
+    return _reweight(p, likelihood_probability(m, p.eps_values, probe, model))
+
+
+def _reweight(p: GridPosterior, likelihood: np.ndarray) -> GridPosterior:
+    """grid_update's posterior, from the likelihood of its outcome at each grid point."""
+    w = p.weights * likelihood
     total = float(w.sum())
     if total <= 0.0:
         raise ArithmeticError("posterior weight underflow: likelihood annihilated the grid")
@@ -84,8 +89,8 @@ def kl_divergence(p: GridPosterior, q: GridPosterior) -> float:
 
     Uses the 0*log(0) = 0 convention; raises if p has mass where q vanishes.
     """
-    if p.eps_values.shape != q.eps_values.shape or not np.allclose(
-        p.eps_values, q.eps_values
+    if p.eps_values is not q.eps_values and (  # one grid object needs no comparison
+        p.eps_values.shape != q.eps_values.shape or not np.allclose(p.eps_values, q.eps_values)
     ):
         raise ValueError("p and q must share the same grid")
     support = p.weights > 0.0

@@ -15,8 +15,10 @@ It hashes, in order:
 
 It prints the campaign matrix's own digest first (e9a6bc38...4a2e since it was set up), then
 the digest of the first three, then the drift tracks' digest, then one digest per subcommand
-over its own files, so that a declared change can show which subcommands it moved.  The name
-keeps pytest from collecting it.  It takes a few seconds.
+over its own files, so that a declared change can show which subcommands it moved.  For a
+subcommand that also writes <output>.summary.json it then prints the digest of its primary
+files and that of its summaries apart, so that a change to a summary alone shows as one.  The
+name keeps pytest from collecting it.  It takes a few seconds.
 """
 
 import hashlib
@@ -61,9 +63,11 @@ def track_bits(digest, noise=NoiseProcess()) -> None:
             digest.update(record.tau_values.tobytes() + record.flip_fractions.tobytes())
 
 
-def cli_bits(digest) -> dict:
-    """Feed every CLI file to digest, and return each subcommand's own digest of its files."""
+def cli_bits(digest) -> tuple[dict, dict]:
+    """Feed every CLI file to digest; return each subcommand's own digest of its files, and
+    the digests of its primary files and of its summaries, keyed (command, "primary" or "summary")."""
     commands = {command: hashlib.sha256() for command in cli.COMMANDS}
+    parts = {}
     with tempfile.TemporaryDirectory() as tmp:
         for command, seed, fmt in itertools.product(cli.COMMANDS, (0, 3), ("csv", "json")):
             out = Path(tmp, f"{command}-{seed}.{fmt}")
@@ -74,8 +78,10 @@ def cli_bits(digest) -> dict:
                 chunk = path.name.encode() + b"\0" + path.read_bytes()
                 digest.update(chunk)
                 commands[command].update(chunk)
+                kind = "summary" if path.name.endswith(".summary.json") else "primary"
+                parts.setdefault((command, kind), hashlib.sha256()).update(chunk)
                 path.unlink()
-    return commands
+    return commands, parts
 
 
 def main() -> None:
@@ -83,7 +89,7 @@ def main() -> None:
     campaigns = campaign_bits(matrix)
     digest = hashlib.sha256(matrix.digest())
     track_bits(digest)
-    commands = cli_bits(digest)
+    commands, parts = cli_bits(digest)
     drift = hashlib.sha256()
     for kind in ("ou_drift", "one_over_f"):
         track_bits(drift, NoiseProcess(kind=kind))
@@ -92,6 +98,10 @@ def main() -> None:
     print(f"{drift.hexdigest()}  (3 OU and 3 1/f tracks)")
     for command, own in commands.items():
         print(f"{own.hexdigest()}  ({command}: seeds 0 and 3, CSV and JSON)")
+    for command in cli.COMMANDS:
+        if (command, "summary") in parts:
+            print(f"{parts[command, 'primary'].hexdigest()}  ({command}: its primary files alone)")
+            print(f"{parts[command, 'summary'].hexdigest()}  ({command}: its summaries alone)")
 
 
 if __name__ == "__main__":

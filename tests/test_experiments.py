@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import freqtrack
-from freqtrack import experiments
+from freqtrack import experiments, oracle
 from freqtrack.estimator import (
     IDEAL_MODEL,
     REFERENCE_MODEL,
@@ -21,6 +21,7 @@ from freqtrack.estimator import (
     ProbeSettings,
     design_probe,
     likelihood_probability,
+    optimal_detuning,
     optimal_tau,
     run_estimation,
     update,
@@ -306,6 +307,24 @@ class TestGaussianValiditySweep:
             assert by_key[(3.0, m)].kl_bits > 3.0 * by_key[(1.0, m)].kl_bits
             assert by_key[(3.0, m)].n_modes > 1
 
+    @pytest.mark.parametrize("model", [REFERENCE_MODEL, IDEAL_MODEL, LikelihoodModel(0.1, 0.7, 3e-6)])
+    def test_rows_are_the_public_oracle_paths(self, model):
+        # The sweep computes each tau's alpha + beta e^(-tau/T) cos(...) once for both outcomes,
+        # and its Gaussian fits share their posterior's grid object: the same bits as
+        # grid_update per outcome and a KL against a fit on a copy of the grid.
+        prior, mults = GaussianBelief(2e5, 1e6), [0.25, 0.5, 1.0, 2.0, 3.0, 4.0]
+        grid, expected = oracle.from_gaussian(prior), []
+        for mult in mults:
+            tau = mult * optimal_tau(prior.sigma, model.T)
+            for m in (-1, 1):
+                post = oracle.grid_update(grid, m, ProbeSettings(tau, optimal_detuning(prior.mu, tau)), model)
+                fit = oracle.gaussian_fit(post)
+                eps = post.eps_values.copy()
+                gauss = oracle.GridPosterior(eps, oracle.normal_weights(eps, fit.mu, fit.sigma))
+                kl = oracle.kl_divergence(post, gauss)
+                expected.append((mult, tau, m, fit.sigma, kl, oracle.count_local_maxima(post)))
+        assert [tuple(row) for row in gaussian_validity_sweep(prior, model, mults)] == expected
+
     def test_rejects_nonpositive_multiplier(self):
         with pytest.raises(ValueError):
             gaussian_validity_sweep(GaussianBelief(0.0, 1e6), REFERENCE_MODEL, [0.0])
@@ -366,6 +385,8 @@ class TestClosedLoopTrack:
         # cycle: the estimation shots, then the verification shot, cycle after cycle.  The open
         # arm flips where the verification uniform falls below P(+1) at the nominal detuning,
         # the feedback arm where it falls below P(+1) at the nominal detuning plus the estimate.
+        # Each cycle's estimate and shift, which the track scores after its loop, are the
+        # scalar replay's to rounding (the replay squares sigma every shot, as in TestCampaignReplay).
         n, m, reps, sigma_eps, tau_max = 3, 10, 30, 30e3, 7e-6
         taus = np.linspace(tau_max / m, tau_max, m)
         for noise, doubles in (
@@ -378,6 +399,7 @@ class TestClosedLoopTrack:
             width = used + -used % 4
             assert (used, width) == doubles
             flips, fb_flips = np.zeros((2, reps, m), dtype=bool)
+            verify, mus, sigmas, shifts = np.zeros((4, m, reps))
             for r in range(reps):
                 row = rng_for_run(seed, r, width).random(width)
                 shift = sigma_eps * standard_normals(row[:2])[0]
@@ -399,13 +421,19 @@ class TestClosedLoopTrack:
                     first = 2 + j * (n + 1)
                     shots = SimpleNamespace(random=iter(row[first : first + n + 1]).__next__)
                     prior = GaussianBelief(mu, 30e3)  # closed_loop_track's default sigma0
-                    mu = run_estimation(prior, n, model, measure)[0].mu
+                    belief = run_estimation(prior, n, model, measure)[0]
+                    mu = mus[j, r] = belief.mu
+                    verify[j, r], sigmas[j, r], shifts[j, r] = row[first + n], belief.sigma, shift
                     p_fb = likelihood_probability(1, shift, ProbeSettings(tau, 1e6 + mu), model)
                     fb_flips[r, j] = row[first + n] < p_fb  # the verification uniform
                     flips[r, j] = measure(ProbeSettings(tau, 1e6)) == 1  # the nominal detuning
             fb, open_loop = closed_loop_track(noise, n, m, tau_max, model, seed, repetitions=reps)
             np.testing.assert_array_equal(open_loop.flip_fractions, flips.mean(axis=0))
             np.testing.assert_array_equal(fb.flip_fractions, fb_flips.mean(axis=0))
+            u, mu_hat, shift_at_verification = experiments._track(noise, n, taus, model, seed, reps, 30e3)
+            np.testing.assert_array_equal(u, verify)
+            assert np.all(np.abs(mu_hat - mus) <= 1e-12 * sigmas)
+            assert np.all(np.abs(shift_at_verification - shifts) <= 1e-12 * sigmas)
 
     def test_open_arm_t2_under_ou_drift_is_the_predicted_one(self):
         # Under OU drift much slower than a track (tau_c = 10 ms) each repetition's shift is
@@ -428,6 +456,10 @@ class TestClosedLoopTrack:
             closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 2**128)
         with pytest.raises(ValueError):
             closed_loop_track(noise, 8, 50, -1.0, IDEAL_MODEL, 0)
+        # inf used to warn in np.linspace, then fail its first verification probe a cycle in
+        for tau_max in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape("tau_max must be positive and finite, got")):
+                closed_loop_track(noise, 8, 50, tau_max, IDEAL_MODEL, 0)
         with pytest.raises(ValueError, match=re.escape("repetitions must be >= 1")):
             closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 0, repetitions=0)
         # sigma0**4 subnormal used to run silently, and sigma0**2 overflowing to warn mid-run.
@@ -450,6 +482,26 @@ class TestFitFringe:
         assert fit.residual_rms < 1e-6
         as_lists = FringeRecord(tau_values=taus.tolist(), flip_fractions=y.tolist(), feedback=True)
         assert fit_fringe(as_lists) == fit  # the record holds float arrays, as from arrays
+
+    @pytest.mark.parametrize(
+        "params",
+        [(0.5, 0.45, 5e-6, 1e6, 0.0), (0.48, 0.3, 4e-6, 1.2e6, 1.1), (0.5, 0.4, 4e-7, 0.8e6, -2.5)],
+        ids=["phi = 0", "phi != 0", "tau >> T2"],
+    )
+    def test_jacobian_is_the_models_derivative(self, params):
+        # Central differences of _fringe_model, one parameter at a time.  Their error is O(h**2)
+        # relative, but where the envelope has decayed the difference cancels against the offset
+        # c, so entries below 1e-9 of their column's largest are compared to that bound.
+        tau = np.linspace(1e-7, 8e-6, 60)  # up to 20 T2 in the last case: an envelope of e^(-400)
+        jac = experiments._fringe_jacobian(tau, *params)
+        assert jac.shape == (tau.size, 5)
+        for i, value in enumerate(params):
+            h = 1e-5 * (abs(value) or 1.0)
+            up, down = list(params), list(params)
+            up[i], down[i] = value + h, value - h
+            numeric = (experiments._fringe_model(tau, *up) - experiments._fringe_model(tau, *down)) / (2 * h)
+            scale = np.abs(numeric).max()
+            np.testing.assert_allclose(jac[:, i], numeric, rtol=1e-6, atol=1e-9 * scale)
 
     def test_flat_record_unidentifiable(self):
         taus = np.linspace(1e-7, 8e-6, 40)

@@ -169,6 +169,22 @@ class TestKLDivergence:
         with pytest.raises(ValueError):
             oracle.kl_divergence(a, b)
 
+    def test_one_grid_object_skips_the_grid_comparison_and_keeps_the_bits(self):
+        # kl_divergence compares grids only when p and q hold different grid objects.
+        tau = optimal_tau(1e6, REFERENCE_MODEL.T)
+        probe = ProbeSettings(tau, optimal_detuning(0.0, tau))
+        p = oracle.grid_update(oracle.from_gaussian(GaussianBelief(0.0, 1e6)), 1, probe, REFERENCE_MODEL)
+        fit = oracle.gaussian_fit(p)
+        shared = oracle.GridPosterior(p.eps_values, oracle.normal_weights(p.eps_values, fit.mu, fit.sigma))
+        copied = oracle.GridPosterior(p.eps_values.copy(), shared.weights)
+        assert oracle.kl_divergence(p, shared) == oracle.kl_divergence(p, copied) > 0.0
+        for eps in (p.eps_values + 1e5, p.eps_values[:-1]):  # shifted, and one point short
+            weights = np.full(eps.size, 1.0 / eps.size)
+            with pytest.raises(ValueError, match="share the same grid"):
+                oracle.kl_divergence(p, oracle.GridPosterior(eps, weights))
+            with pytest.raises(ValueError, match="share the same grid"):
+                oracle.kl_divergence(oracle.GridPosterior(eps, weights), shared)
+
     def test_support_mismatch_rejected(self):
         eps = np.linspace(-1.0, 1.0, 2048)
         p = np.ones(eps.size)
