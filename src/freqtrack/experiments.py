@@ -105,18 +105,19 @@ _TREE_BYTES = 9 * 2**18  # 2.25 MiB
 
 
 def _tree_depth(n: int, k: int) -> int:
-    """Levels tabulated for n shots: the most whose (6 + 2k) 2**depth doubles fit _TREE_BYTES."""
-    return min(n, (_TREE_BYTES // (8 * (6 + 2 * k))).bit_length() - 1)
+    """Levels tabulated for n shots: the most whose (6 + 2k) 2**depth doubles fit _TREE_BYTES, or 0."""
+    return min(n, max(0, (_TREE_BYTES // (8 * (6 + 2 * k))).bit_length() - 1))
 
 
 @functools.lru_cache(maxsize=4)  # the five commands use 3 trees
 def _outcome_tree(sigma0, depth, truth_model, update_model, noise):
     """Per-shot tuples (taus, amps, steps, var[, decays, kicks]) of depth read-only levels.
 
-    A run's node at shot s is its outcomes so far in binary (m = +1 is 1): level s holds the tau,
-    amplitude beta e^(-tau/T) and entering variance of its 2**s nodes, and the mean step to each
-    child 2k + (m = +1), the array form at mu = -0.0 (so mu + step is the step).  For a drifting
-    bank it also holds each node's decay over its cycle and innovation scale, (2**s, k) each.
+    The cache of _lockstep's computed shots: its depth changes time, never bits.  A run's node at
+    shot s is its outcomes so far in binary (m = +1 is 1): level s holds the tau, amplitude beta
+    e^(-tau/T) and entering variance of its 2**s nodes, and the mean step to each child 2k + (m = +1),
+    the array form at mu = -0.0 (so mu + step is the step).  For a drifting bank it also holds each
+    node's decay over its cycle and innovation scale, (2**s, k) each.
     """
     tree = ([], [], [], _arrays(np.array([sigma0], np.float64) ** 2)) + ([], []) * (noise is not None)
     for _ in range(depth):
@@ -137,22 +138,19 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None,
     """Estimations from the prior sigma0, one per array element: final (mu, sigma, shift, comp).
 
     Shot s measures +1 where u[s] < P(+1) of the truth model, tested as the same event
-    beta e^(-tau/T) sin(2 pi (mu - eps) tau) < 1 + alpha - 2 u[s], and applies the array
-    closed form, read for the shots the outcome tree holds from each run's node.  Given a bank
-    comp (R x k) of the drifting process noise's OU components, the shift is eps plus their sum,
-    and the bank steps over shot s's probing cycle with the standard normals z[s], by the decay
-    and innovation scale the tree holds for the node probed; the bank after the last shot is
-    handed back.  All randomness comes in through u, z and comp, and _lockstep draws none.
+    beta e^(-tau/T) sin(2 pi (mu - eps) tau) < 1 + alpha - 2 u[s], and applies the array closed
+    form, which the outcome tree caches for the first shots, read at each run's node (none for a bank
+    too large for one level).  Given a bank comp (R x k) of the drifting process noise's OU
+    components, the shift is eps plus their sum, and the bank steps over shot s's probing cycle with
+    the standard normals z[s], by the decay and innovation scale the tree holds for the node probed;
+    the bank after the last shot is handed back.  All randomness comes in through u, z and comp.
     """
     eps_true = eps if comp is None else eps + np.add.reduce(comp, 1)
     n, node = len(u), np.zeros(eps.shape, np.intp)
     depth = _tree_depth(n, 0 if comp is None else comp.shape[1])
     tree = _outcome_tree(sigma0, depth, truth_model, update_model, None if comp is None else noise)
     taus, amps, steps, tree_var, *bank = tree  # drift tables if comp is given; else None's tree
-
-    def var_at(shot):  # each run's variance entering the shot; past the tree it carries its own
-        return var if shot > depth else tree_var[shot].take(node)
-
+    var, at = tree_var[0], node  # run i enters a shot with variance var[at[i]]: its node's, then its own
     for shot, threshold in enumerate((1.0 + truth_model.alpha) - 2.0 * u):
         if shot < depth:
             tau = taus[shot].take(node)
@@ -160,9 +158,9 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None,
                 decay, kick = bank[0][shot].take(node, 0), bank[1][shot].take(node, 0)
             up = amps[shot].take(node) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
             node += node + up
-            mu = mu + steps[shot].take(node)
+            mu, var = mu + steps[shot].take(node), tree_var[shot + 1]
         else:
-            var = var_at(shot)
+            var, at = var[at], slice(None)  # each run's own variance: from here on run i reads var[i]
             tau = _optimal_tau_vec(var, update_model)
             amp = truth_model.beta * np.exp(tau * -truth_model.inv_T)
             up = amp * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
@@ -175,10 +173,10 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None,
         # The scalar form's posterior-sigma floor: exact after the last shot, as var never grows,
         # and after every 512th, since tau**2 overflows >= 780 shots past it (<= 0.67 bits a shot).
         if shot == n - 1 or shot % 512 == 511:
-            sigma = math.sqrt(var_at(shot + 1).min())
+            sigma = math.sqrt(var[at].min())
             if not _sigma_in_range(sigma):
                 raise NumericalConsistencyError(f"posterior sigma {sigma} is below 2**-255.5")
-    return mu, np.sqrt(var_at(n)), eps_true, comp
+    return mu, np.sqrt(var[at]), eps_true, comp
 
 
 def _rows(seed: int, count: int, width: int, noise=None, steps=0):
@@ -330,6 +328,8 @@ def closed_loop_track(
         raise ValueError(f"m_cycles must be >= 2, got {m_cycles}")
     if not 0.0 < tau_max < math.inf:  # np.linspace would warn, and each cycle's tau be nan
         raise ValueError(f"tau_max must be positive and finite, got {tau_max}")
+    if not math.isfinite(target_detuning):  # its cosine would be nan, and both fringes zero
+        raise ValueError(f"target_detuning must be finite, got {target_detuning}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if not _sigma_in_range(sigma0):

@@ -17,8 +17,11 @@ It prints the campaign matrix's own digest first (e9a6bc38...4a2e since it was s
 the digest of the first three, then the drift tracks' digest, then one digest per subcommand
 over its own files, so that a declared change can show which subcommands it moved.  For a
 subcommand that also writes <output>.summary.json it then prints the digest of its primary
-files and that of its summaries apart, so that a change to a summary alone shows as one.  The
-name keeps pytest from collecting it.  It takes a few seconds.
+files and that of its summaries apart, so that a change to a summary alone shows as one.  Last
+it prints the campaign matrix's digest again with `_tree_depth` forced to 0, so that every shot
+is computed and none read from the outcome tree.  That line must equal the first: the tree only
+caches the computed shot, and its depth changes time, never bits.  The name keeps pytest from
+collecting it.  It takes a few seconds.
 """
 
 import hashlib
@@ -26,8 +29,9 @@ import itertools
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from freqtrack import cli
+from freqtrack import cli, experiments
 from freqtrack.estimator import IDEAL_MODEL, REFERENCE_MODEL, GaussianBelief, LikelihoodModel
 from freqtrack.experiments import CampaignConfig, closed_loop_track, run_campaign
 from freqtrack.qubitsim import NoiseProcess
@@ -102,6 +106,10 @@ def main() -> None:
         if (command, "summary") in parts:
             print(f"{parts[command, 'primary'].hexdigest()}  ({command}: its primary files alone)")
             print(f"{parts[command, 'summary'].hexdigest()}  ({command}: its summaries alone)")
+    computed = hashlib.sha256()
+    with mock.patch.object(experiments, "_tree_depth", lambda n, k: 0):
+        campaign_bits(computed)
+    print(f"{computed.hexdigest()}  (the campaigns, every shot computed: equals the first line)")
 
 
 if __name__ == "__main__":

@@ -460,6 +460,10 @@ class TestClosedLoopTrack:
         for tau_max in (math.inf, math.nan):
             with pytest.raises(ValueError, match=re.escape("tau_max must be positive and finite, got")):
                 closed_loop_track(noise, 8, 50, tau_max, IDEAL_MODEL, 0)
+        # nan used to give two all-zero fringes, inf the same after numpy's cosine warning
+        for target in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=re.escape("target_detuning must be finite, got")):
+                closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 0, target_detuning=target)
         with pytest.raises(ValueError, match=re.escape("repetitions must be >= 1")):
             closed_loop_track(noise, 8, 50, 7e-6, IDEAL_MODEL, 0, repetitions=0)
         # sigma0**4 subnormal used to run silently, and sigma0**2 overflowing to warn mid-run.

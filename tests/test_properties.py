@@ -2,6 +2,7 @@
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -251,8 +252,9 @@ lockstep_models = st.one_of(models(), edge_models(), limit_models())
     st.integers(0, CAP + 3),
     st.sampled_from((None, "ou_drift", "one_over_f")),
     st.integers(0, 2**32),
+    st.sampled_from((0, 1, None)),  # None: the natural depth
 )
-def test_tabulated_lockstep_equals_the_per_run_loop(truth, update_model, sigma0, n, kind, seed):
+def test_tabulated_lockstep_equals_the_per_run_loop(truth, update_model, sigma0, n, kind, seed, depth):
     runs = 64
     rng = np.random.default_rng(seed)
     mu = sigma0 * rng.standard_normal(runs)
@@ -266,8 +268,16 @@ def test_tabulated_lockstep_equals_the_per_run_loop(truth, update_model, sigma0,
         _lockstep_per_run(mu, np.full(runs, sigma0), eps, u, truth, update_model, noise, z, comp)
     )
     assert (per_run[3] is None) == (kind is None)  # the bank handed back, compared bit for bit
-    for _ in range(2):  # a first call builds the tree, the second reads it
-        assert _bits(_lockstep(mu, sigma0, eps, u, truth, update_model, noise, z, comp)) == per_run
+    # Any depth splits the shots between the tree and the computed form at another point, and
+    # gives the same bits.  The patch is in the body: Hypothesis rejects function-scoped fixtures.
+    forced = experiments._tree_depth if depth is None else lambda n, k: min(n, depth)
+    _outcome_tree.cache_clear()
+    try:
+        with mock.patch.object(experiments, "_tree_depth", forced):
+            for _ in range(2):  # a first call builds the tree, the second reads it
+                assert _bits(_lockstep(mu, sigma0, eps, u, truth, update_model, noise, z, comp)) == per_run
+    finally:
+        _outcome_tree.cache_clear()
 
 
 @pytest.mark.parametrize("n", [3, CAP + 1])  # in the tree, and past it
@@ -405,6 +415,16 @@ class TestOutcomeTreeCache:
         assert [_tree_depth(n, 0) for n in (0, 1, 5, CAP + 5)] == [0, 1, 5, CAP]
         for k in range(12):  # one more level would not fit
             assert 8 * (6 + 2 * k) * 2 ** (_tree_depth(10**6, k) + 1) > _TREE_BYTES
+        # A bank too large for one level tabulates none: 147,454 components used to give -1, and
+        # a campaign at -1 raise NameError.  At 0 every shot reads each run's own variance.
+        assert [_tree_depth(10**6, k) for k in (73_725, 73_726, 147_454, 10**6)] == [1, 0, 0, 0]
+        noise = NoiseProcess(kind="one_over_f", octave_count=150_000)
+        cfg = CampaignConfig(2, 3, GaussianBelief(0.0, 1e6), REFERENCE_MODEL, IDEAL_MODEL, noise)
+        stats = run_campaign(cfg)
+        assert np.isfinite([stats.eps_true, stats.eps_hat, stats.final_sigmas]).all()
+        assert (stats.final_sigmas < 1e6).all()
+        assert _outcome_tree(1e6, 0, REFERENCE_MODEL, IDEAL_MODEL, noise)[0] == ()  # the campaign's
+        assert _outcome_tree.cache_info().misses == 1
 
     @pytest.mark.parametrize(
         "noise",
