@@ -367,7 +367,7 @@ def _track(noise, n_shots, taus, model, seed, repetitions, sigma0):
 
 @dataclass(frozen=True)
 class FringeFit:
-    """Least-squares fit of p(tau) = c + A exp(-(tau/T2)^2) cos(2 pi f tau + phi)."""
+    """Least-squares fit of p(tau) = c + A exp(-(tau/T2)^2) cos(2 pi f tau + phi); T2 = inf: no decay."""
 
     t2: float
     frequency: float
@@ -384,15 +384,54 @@ class FitError(RuntimeError):
     """Fringe fit did not converge; message carries residual diagnostics."""
 
 
-def _fringe_model(tau, c, A, t2, f, phi):
-    return c + A * np.exp(-((tau / t2) ** 2)) * np.cos(TWO_PI * f * tau + phi)
+#: The fit stops at the 5th step that lowers the squared residual by <= 1e-8 of it (curve_fit's ftol
+#: stops at the 1st, 1e-4 sigma from the minimum; a fit that runs off to A -> inf stops too), or
+#: where no step lowers it: the damping, 1e-3 at first, passes 1e16.
+_FIT_SLOW, _FIT_STEPS, _FIT_DAMPING = (1e-8, 5), 2000, (1e-3, 1e16, 1e-12)
 
 
-def _fringe_jacobian(tau, c, A, t2, f, phi):
-    """_fringe_model's derivatives by (c, A, t2, f, phi), one column each."""
-    envelope, phase = np.exp(-((tau / t2) ** 2)), TWO_PI * f * tau + phi
+def _fringe_model(tau, c, A, gamma, f, phi):
+    return c + A * np.exp(-gamma * tau**2) * np.cos(TWO_PI * f * tau + phi)
+
+
+def _fringe_jacobian(tau, c, A, gamma, f, phi):
+    """_fringe_model's derivatives by (c, A, gamma, f, phi), one column each."""
+    envelope, phase = np.exp(-gamma * tau**2), TWO_PI * f * tau + phi
     d_A, d_phi = envelope * np.cos(phase), -A * envelope * np.sin(phase)
-    return np.stack((np.ones_like(tau), d_A, A * d_A * 2.0 * tau**2 / t2**3, d_phi * TWO_PI * tau, d_phi), 1)
+    return np.stack((np.ones_like(tau), d_A, -A * d_A * tau**2, d_phi * TWO_PI * tau, d_phi), 1)
+
+
+def _least_squares(tau, y, p, lower, upper):
+    """_fringe_model's parameters fitted to y from p within [lower, upper]; RuntimeError if none.
+
+    Levenberg-Marquardt scaled by the largest norm each Jacobian column has had, as MINPACK
+    scales, so a column that collapses (f = 0 at phi = pi) is still damped; the norms span 1e-11
+    to 7.  A zero column steps by 0, a parameter at a bound is held while the gradient pushes it
+    outward, and each trial is clipped to the bounds.  The damping rises tenfold a rejected trial
+    and falls tenfold a step, to 1e-12.
+    """
+    (ftol, slow_left), (lam, lam_max, lam_min) = _FIT_SLOW, _FIT_DAMPING
+    r, d = y - _fringe_model(tau, *p), np.zeros_like(p)
+    cost = r @ r
+    for _ in range(_FIT_STEPS):
+        J = _fringe_jacobian(tau, *p)
+        g, d = J.T @ r, np.maximum(d, np.sqrt(np.einsum("ij,ij->j", J, J)))  # g: the descent direction
+        free = (d > 0.0) & ~(((p <= lower) & (g < 0.0)) | ((p >= upper) & (g > 0.0)))
+        scaled = J[:, free] / d[free]
+        h, gs = scaled.T @ scaled, g[free] / d[free]
+        while True:
+            step = np.zeros_like(p)
+            step[free] = np.linalg.solve(h + lam * np.eye(gs.size), gs) / d[free]
+            trial = np.clip(p + step, lower, upper)
+            r_trial = y - _fringe_model(tau, *trial)
+            if (cost_trial := r_trial @ r_trial) < cost:
+                break
+            if (lam := lam * 10.0) > lam_max:  # no step lowers the cost: a minimum to rounding
+                return p
+        if (slow_left := slow_left - (cost - cost_trial <= ftol * cost)) == 0:
+            return trial
+        p, r, cost, lam = trial, r_trial, cost_trial, max(lam / 10.0, lam_min)
+    raise RuntimeError(f"no minimum within {_FIT_STEPS} steps")
 
 
 def fit_fringe(record: FringeRecord) -> FringeFit:
@@ -401,10 +440,10 @@ def fit_fringe(record: FringeRecord) -> FringeFit:
     The record needs >= 10 points with tau increasing in equal steps, as
     np.linspace lays them out.  Start values: frequency from the discrete
     Fourier peak, amplitude from half the record's range, T2 from half the
-    span.  A flat record is reported as unidentifiable rather than fitted.
+    span.  The envelope is fitted by its rate 1/T2^2 in [0, (10/dt)^2], so a
+    fringe that shows no decay fits T2 = inf, unidentifiable; the covariance is
+    curve_fit's.  A flat record is reported as unidentifiable rather than fitted.
     """
-    from scipy.optimize import curve_fit
-
     tau, y = record.tau_values, record.flip_fractions
     if tau.size < 10:
         raise ValueError(f"need >= 10 points to fit a fringe, got {tau.size}")
@@ -432,11 +471,12 @@ def fit_fringe(record: FringeRecord) -> FringeFit:
     spectrum = np.abs(np.fft.rfft(y - y.mean()))
     freqs = np.fft.rfftfreq(tau.size, d=dt)
     f0 = float(freqs[1:][np.argmax(spectrum[1:])])
-    p0 = [float(y.mean()), amp0, span / 2.0, f0, 0.0]
+    p0 = np.array([float(y.mean()), amp0, (2.0 / span) ** 2, f0, 0.0])
 
+    lower = np.array([-np.inf, 0.0, 0.0, 0.0, -np.pi])
+    upper = np.array([np.inf, np.inf, (10.0 / dt) ** 2, 10.0 * f0 + 1.0 / dt, np.pi])
     try:
-        bounds = [-np.inf, 0.0, dt / 10.0, 0.0, -np.pi], [np.inf, np.inf, np.inf, 10.0 * f0 + 1.0 / dt, np.pi]
-        popt, pcov = curve_fit(_fringe_model, tau, y, p0, jac=_fringe_jacobian, bounds=bounds, maxfev=20000)
+        popt = _least_squares(tau, y, p0, lower, upper)
     except RuntimeError as exc:
         resid = y - _fringe_model(tau, *p0)
         raise FitError(
@@ -444,18 +484,22 @@ def fit_fringe(record: FringeRecord) -> FringeFit:
         ) from exc
 
     resid = y - _fringe_model(tau, *popt)
-    perr = np.sqrt(np.diag(pcov))
-    c, A, t2, f, phi = popt
+    _, s, vt = np.linalg.svd(_fringe_jacobian(tau, *popt), full_matrices=False)
+    keep = s > np.finfo(float).eps * tau.size * s[0]
+    pcov = (vt[keep].T / s[keep] ** 2) @ vt[keep] * (resid @ resid / (tau.size - popt.size))
+    perr = np.sqrt(np.diag(pcov))  # gamma = 1/T2^2 has T2's error perr[2] T2^3 / 2
+    c, A, gamma, f, phi = popt
+    t2, t2_err = (math.inf, math.inf) if gamma == 0.0 else (gamma**-0.5, perr[2] / (2.0 * gamma**1.5))
     return FringeFit(
         t2=float(t2),
         frequency=float(f),
         amplitude=float(A),
         offset=float(c),
         phase=float(phi),
-        t2_err=float(perr[2]),
+        t2_err=float(t2_err),
         frequency_err=float(perr[3]),
         residual_rms=float(np.std(resid)),
-        identifiable=bool(np.isfinite(perr[2])),
+        identifiable=math.isfinite(t2_err),
     )
 
 

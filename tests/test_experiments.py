@@ -489,23 +489,97 @@ class TestFitFringe:
 
     @pytest.mark.parametrize(
         "params",
-        [(0.5, 0.45, 5e-6, 1e6, 0.0), (0.48, 0.3, 4e-6, 1.2e6, 1.1), (0.5, 0.4, 4e-7, 0.8e6, -2.5)],
-        ids=["phi = 0", "phi != 0", "tau >> T2"],
+        [
+            (0.5, 0.45, 5e-6**-2, 1e6, 0.0),
+            (0.48, 0.3, 4e-6**-2, 1.2e6, 1.1),
+            (0.5, 0.4, 4e-7**-2, 0.8e6, -2.5),
+            (0.5, 0.45, 0.0, 1e6, 0.3),
+        ],
+        ids=["phi = 0", "phi != 0", "tau >> T2", "gamma = 0"],
     )
     def test_jacobian_is_the_models_derivative(self, params):
         # Central differences of _fringe_model, one parameter at a time.  Their error is O(h**2)
         # relative, but where the envelope has decayed the difference cancels against the offset
-        # c, so entries below 1e-9 of their column's largest are compared to that bound.
-        tau = np.linspace(1e-7, 8e-6, 60)  # up to 20 T2 in the last case: an envelope of e^(-400)
+        # c, so entries below 1e-9 of their column's largest are compared to that bound.  A zero
+        # parameter is stepped on its scale: 1, or 1/tau_max**2 for the rate gamma = 1/T2**2.
+        tau = np.linspace(1e-7, 8e-6, 60)  # up to 20 T2 in the third case: an envelope of e^(-400)
         jac = experiments._fringe_jacobian(tau, *params)
         assert jac.shape == (tau.size, 5)
-        for i, value in enumerate(params):
-            h = 1e-5 * (abs(value) or 1.0)
+        for i, (value, scale) in enumerate(zip(params, (1.0, 1.0, tau[-1] ** -2, 1.0, 1.0))):
+            h = 1e-5 * (abs(value) or scale)
             up, down = list(params), list(params)
             up[i], down[i] = value + h, value - h
             numeric = (experiments._fringe_model(tau, *up) - experiments._fringe_model(tau, *down)) / (2 * h)
             scale = np.abs(numeric).max()
             np.testing.assert_allclose(jac[:, i], numeric, rtol=1e-6, atol=1e-9 * scale)
+
+    def test_undecayed_fringe_is_unidentifiable(self):
+        # The ideal model's feedback arm at seed 9 restores the fringe so fully that the best fit
+        # has no decay: the rate gamma = 1/T2**2 sits at its bound 0.  Fitted by T2, as curve_fit
+        # did, it read T2 = 0.028 s +- 5810 s, a finite error flagged identifiable.
+        fb, open_loop = closed_loop_track(NoiseProcess(), 8, 50, 7e-6, IDEAL_MODEL, 9)
+        fit = fit_fringe(fb)
+        assert fit.t2 == math.inf and fit.t2_err == math.inf and not fit.identifiable
+        assert fit.frequency == pytest.approx(1e6, rel=0.01)
+        assert fit_fringe(open_loop).identifiable
+
+    @staticmethod
+    def _curve_fit(record):
+        """scipy's curve_fit on the same model by T2 = gamma**-0.5, start point and bounds:
+        (c, A, T2, f, phi), their standard errors and the squared residual."""
+        from scipy.optimize import curve_fit
+
+        tau, y = record.tau_values, record.flip_fractions
+        dt, span = tau[1] - tau[0], tau[-1] - tau[0]
+        f0 = np.fft.rfftfreq(tau.size, d=dt)[1:][np.argmax(np.abs(np.fft.rfft(y - y.mean()))[1:])]
+        p0 = [y.mean(), (y.max() - y.min()) / 2.0, span / 2.0, f0, 0.0]
+        bounds = [-np.inf, 0.0, dt / 10.0, 0.0, -np.pi], [np.inf, np.inf, np.inf, 10.0 * f0 + 1.0 / dt, np.pi]
+
+        def model(tau, c, A, t2, f, phi):
+            return experiments._fringe_model(tau, c, A, t2**-2, f, phi)
+
+        def jacobian(tau, c, A, t2, f, phi):
+            jac = experiments._fringe_jacobian(tau, c, A, t2**-2, f, phi)
+            jac[:, 2] *= -2.0 / t2**3  # d gamma / d T2
+            return jac
+
+        popt, pcov = curve_fit(model, tau, y, p0, jac=jacobian, bounds=bounds, maxfev=20000)
+        return popt, np.sqrt(np.diag(pcov)), float(np.sum((y - model(tau, *popt)) ** 2))
+
+    @staticmethod
+    def _squared_residual(record, fit):
+        params = fit.offset, fit.amplitude, fit.t2**-2, fit.frequency, fit.phase  # gamma 0.0 at T2 = inf
+        model = experiments._fringe_model(record.tau_values, *params)
+        return float(np.sum((record.flip_fractions - model) ** 2))
+
+    def test_matches_curve_fit(self):
+        # Both arms of the reference model's tracks find curve_fit's minimum, to within where
+        # curve_fit stops (the first step that lowers the squared residual by <= 1e-8 of it):
+        # here T2 differs by <= 4.2e-6 relative, f by 1.1e-7 and T2's error by 7.7e-6.
+        for seed in range(10):
+            for record in closed_loop_track(NoiseProcess(), 8, 50, 7e-6, REFERENCE_MODEL, seed):
+                fit = fit_fringe(record)
+                popt, perr, _ = self._curve_fit(record)
+                assert fit.identifiable
+                assert fit.t2 == pytest.approx(popt[2], rel=5e-4)
+                assert fit.frequency == pytest.approx(popt[3], rel=1e-6)
+                assert fit.t2_err == pytest.approx(perr[2], rel=1e-3)
+                assert fit.frequency_err == pytest.approx(perr[3], rel=1e-4)
+
+    def test_no_worse_than_curve_fit_where_the_feedback_fringe_barely_decays(self):
+        # The ideal model's feedback arms: 9 of seeds 0-49 fit gamma = 0, where curve_fit's T2
+        # runs off towards inf and stops up to 1.9% above the bound's squared residual.
+        for seed in range(50):
+            record = closed_loop_track(NoiseProcess(), 8, 50, 7e-6, IDEAL_MODEL, seed)[0]
+            fit = fit_fringe(record)
+            assert self._squared_residual(record, fit) <= self._curve_fit(record)[2] * (1.0 + 1e-9)
+
+    def test_a_collapsing_column_is_still_damped(self):
+        # The open arm of this 2-repetition track passes f = 0 at phi = pi, where the f and phi
+        # columns fall to sin(pi) = 1.2e-16 of their size.  Scaled by the columns' norms there,
+        # not the largest each has had, the fits sent f from bound to bound for 2000 steps.
+        _, open_loop = closed_loop_track(NoiseProcess(), 7, 12, 7e-6, REFERENCE_MODEL, 547, repetitions=2)
+        assert math.isfinite(fit_fringe(open_loop).residual_rms)
 
     def test_flat_record_unidentifiable(self):
         taus = np.linspace(1e-7, 8e-6, 40)
@@ -537,17 +611,20 @@ class TestFitFringe:
             fit_fringe(FringeRecord(tau_values=taus, flip_fractions=y, feedback=True))
 
     def test_fit_that_fails_to_converge_raises_fit_error(self, monkeypatch):
-        import scipy.optimize
-
         def no_convergence(*args, **kwargs):
-            raise RuntimeError("Optimal parameters not found")
+            raise RuntimeError("no minimum within 2000 steps")
 
-        monkeypatch.setattr(scipy.optimize, "curve_fit", no_convergence)
         taus = np.linspace(1e-7, 8e-6, 40)
         y = 0.5 + 0.45 * np.cos(2 * np.pi * 1e6 * taus)
-        match = r"fringe fit failed to converge \(start residual rms .+\): Optimal parameters not found"
-        with pytest.raises(experiments.FitError, match=match):
-            fit_fringe(FringeRecord(tau_values=taus, flip_fractions=y, feedback=True))
+        record = FringeRecord(tau_values=taus, flip_fractions=y, feedback=True)
+        match = r"fringe fit failed to converge \(start residual rms .+\): no minimum within {} steps"
+        monkeypatch.setattr(experiments, "_least_squares", no_convergence)
+        with pytest.raises(experiments.FitError, match=match.format(2000)):
+            fit_fringe(record)
+        monkeypatch.undo()
+        monkeypatch.setattr(experiments, "_FIT_STEPS", 1)  # the solver's own cap
+        with pytest.raises(experiments.FitError, match=match.format(1)):
+            fit_fringe(record)
 
 
 class TestFringeRecord:
@@ -753,10 +830,17 @@ class TestCompareFrequentist:
         assert compare_frequentist(sigma0, shots, run_count, mults, model, seed) == expected
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, freqtrack.experiments; assert 'scipy.optimize' not in sys.modules"
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # No subcommand, track's fringe fits included, loads any scipy module.
+    code = (
+        "import sys; from freqtrack import cli\n"
+        "for command in cli.COMMANDS:\n"
+        "    assert cli.main([command, '--output', f'{sys.argv[1]}/{command}.csv']) == 0, command\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "assert not loaded, f'{len(loaded)} scipy modules, first {loaded[:3]}'"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(freqtrack.__file__).parents[1]))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], check=True, env=env)
 
 
 def test_import_leaves_numpy_random_unloaded():
