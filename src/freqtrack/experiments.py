@@ -34,7 +34,7 @@ from .estimator import (
 )
 from .qubitsim import NoiseProcess, _polar, rng_for_run, standard_normals
 
-_TWO_PI = _arrays(TWO_PI)[0]  # an operand of every tabulated shot's outcome test
+_TWO_PI = _arrays(TWO_PI)[0]  # the operand of each shot's slope 2 pi tau, tabulated or computed
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,8 @@ class ErrorStats:
 
     @property
     def mad(self) -> float:
-        return float(np.median(np.abs(self.errors - np.median(self.errors))))
+        errors = self.errors
+        return _median(np.abs(errors - _median(errors)))
 
     @property
     def outlier_fraction(self) -> float:  # |error| > 3 * final sigma of the run
@@ -98,6 +99,19 @@ class ErrorStats:
     @property
     def calibration_fraction(self) -> float:  # |error| <= final sigma of the run
         return float(np.mean(np.abs(self.errors) <= self.final_sigmas))
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array, nan if x holds one, by np.median's one partition.
+
+    np.median's own nan check imports numpy.ma: 13-16 ms and 1.25 MB in a fresh process.  The
+    middle values are summed from +0.0, as np.mean sums them, so a median of -0.0 reads 0.0 too.
+    """
+    half, odd = divmod(x.size, 2)
+    part = np.partition(x, [half, -1] if odd else [half - 1, half, -1])  # a nan sorts last
+    if math.isnan(top := part[-1]):
+        return float(top)
+    return float(0.0 + part[half] if odd else (0.0 + part[half - 1] + part[half]) / 2.0)
 
 
 #: Largest outcome tree, in bytes: the default 6-component 1/f bank's tree at 14 levels.
@@ -111,72 +125,82 @@ def _tree_depth(n: int, k: int) -> int:
 
 @functools.lru_cache(maxsize=4)  # the five commands use 3 trees
 def _outcome_tree(sigma0, depth, truth_model, update_model, noise):
-    """Per-shot tuples (taus, amps, steps, var[, decays, kicks]) of depth read-only levels.
+    """Per-shot tuples (slopes, amps, phases, var, (offsets,)[, decays, kicks]) of read-only levels.
 
     The cache of _lockstep's computed shots: its depth changes time, never bits.  A run's node at
-    shot s is its outcomes so far in binary (m = +1 is 1): level s holds the tau, amplitude beta
-    e^(-tau/T) and entering variance of its 2**s nodes, and the mean step to each child 2k + (m = +1),
-    the array form at mu = -0.0 (so mu + step is the step).  For a drifting bank it also holds each
-    node's decay over its cycle and innovation scale, (2**s, k) each.
+    shot s is its outcomes so far in binary (m = +1 is 1): level s holds the slope 2 pi tau, the
+    amplitude beta e^(-tau/T), the phase 2 pi tau c and the entering variance of its 2**s nodes,
+    where c is the node's mean offset from the starting mean: -0.0 at the root, and a child's is
+    its parent's plus the array form's step.  offsets holds the c of the 2**depth nodes that leave
+    the tree, var their variances too.  For a drifting bank it also holds each node's decay over
+    its cycle and innovation scale, (2**s, k) each.
     """
     tree = ([], [], [], _arrays(np.array([sigma0], np.float64) ** 2)) + ([], []) * (noise is not None)
+    offset = np.array([-0.0])
     for _ in range(depth):
         tau = _optimal_tau_vec(var := tree[3][-1], update_model)
-        amp = truth_model.beta * np.exp(tau * -truth_model.inv_T)
-        step, var_next = np.zeros((2, 2 * var.size))
+        slope, amp = _TWO_PI * tau, truth_model.beta * np.exp(tau * -truth_model.inv_T)
+        child, var_next = np.zeros((2, 2 * var.size))
         for up in (False, True):  # one outcome a call: 128 KiB temporaries are mmapped, 3x slower
-            step[up::2], var_next[up::2] = _posterior_moments_vec(
-                -0.0, var, tau, np.full(var.size, up), update_model
+            child[up::2], var_next[up::2] = _posterior_moments_vec(
+                offset, var, tau, np.full(var.size, up), update_model
             )
-        level = (tau, amp, step, var_next) + (noise.cycle_step(tau) if noise is not None else ())
+        drift = noise.cycle_step(tau) if noise is not None else ()
+        level = (slope, amp, slope * offset, var_next) + drift
         for tables, table in zip(tree, _arrays(*level)):
             tables.append(table)
-    return tuple(map(tuple, tree))
+        offset = child
+    tables = tuple(map(tuple, tree))
+    return tables[:4] + (tuple(_arrays(offset)),) + tables[4:]
 
 
 def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None, comp=None):
     """Estimations from the prior sigma0, one per array element: final (mu, sigma, shift, comp).
 
     Shot s measures +1 where u[s] < P(+1) of the truth model, tested as the same event
-    beta e^(-tau/T) sin(2 pi (mu - eps) tau) < 1 + alpha - 2 u[s], and applies the array closed
-    form, which the outcome tree caches for the first shots, read at each run's node (none for a bank
-    too large for one level).  Given a bank comp (R x k) of the drifting process noise's OU
-    components, the shift is eps plus their sum, and the bank steps over shot s's probing cycle with
-    the standard normals z[s], by the decay and innovation scale the tree holds for the node probed;
-    the bank after the last shot is handed back.  All randomness comes in through u, z and comp.
+    beta e^(-tau/T) sin(2 pi tau (mu0 - eps) + 2 pi tau c) < 1 + alpha - 2 u[s], with c the run's
+    mean offset from its starting mean mu0, and applies the array closed form to c, which the
+    outcome tree caches for the first shots, read at each run's node (none for a bank too large
+    for one level).  Given a bank comp (R x k) of the drifting process noise's OU components, the
+    shift is eps plus their sum, and the bank steps over shot s's probing cycle with the standard
+    normals z[s], by the decay and innovation scale the tree holds for the node probed; the bank
+    after the last shot is handed back.  All randomness comes in through u, z and comp.
     """
     eps_true = eps if comp is None else eps + np.add.reduce(comp, 1)
-    n, node = len(u), np.zeros(eps.shape, np.intp)
+    d, n, node = mu - eps_true, len(u), np.zeros(eps.shape, np.intp)
     depth = _tree_depth(n, 0 if comp is None else comp.shape[1])
     tree = _outcome_tree(sigma0, depth, truth_model, update_model, None if comp is None else noise)
-    taus, amps, steps, tree_var, *bank = tree  # drift tables if comp is given; else None's tree
-    var, at = tree_var[0], node  # run i enters a shot with variance var[at[i]]: its node's, then its own
+    slopes, amps, phases, tree_var, (c,), *bank = tree  # drift tables if comp is given
+    # Run i enters a shot with variance var[at[i]]: its node's, then its own.  Its offset is
+    # c[at[i]] from the shot it leaves the tree: the leaf's, then its own.
+    var, at = tree_var[0], node
     for shot, threshold in enumerate((1.0 + truth_model.alpha) - 2.0 * u):
         if shot < depth:
-            tau = taus[shot].take(node)
             if comp is not None:  # the bank steps over the cycle of the node probed
                 decay, kick = bank[0][shot].take(node, 0), bank[1][shot].take(node, 0)
-            up = amps[shot].take(node) * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
+            up = amps[shot][node] * np.sin(slopes[shot][node] * d + phases[shot][node]) < threshold
             node += node + up
-            mu, var = mu + steps[shot].take(node), tree_var[shot + 1]
+            var = tree_var[shot + 1]
         else:
-            var, at = var[at], slice(None)  # each run's own variance: from here on run i reads var[i]
+            if shot == depth:  # each run's own offset and variance: from here on run i reads c[i]
+                c, var, at = c[at], var[at], slice(None)
             tau = _optimal_tau_vec(var, update_model)
-            amp = truth_model.beta * np.exp(tau * -truth_model.inv_T)
-            up = amp * np.sin(_TWO_PI * (mu - eps_true) * tau) < threshold
-            mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
+            slope, amp = _TWO_PI * tau, truth_model.beta * np.exp(tau * -truth_model.inv_T)
+            up = amp * np.sin(slope * d + slope * c) < threshold
+            c, var = _posterior_moments_vec(c, var, tau, up, update_model)
             if comp is not None:
                 decay, kick = noise.cycle_step(tau)
         if comp is not None:
             comp = comp * decay + kick * z[shot]
             eps_true = eps + np.add.reduce(comp, 1)
+            d = mu - eps_true
         # The scalar form's posterior-sigma floor: exact after the last shot, as var never grows,
         # and after every 512th, since tau**2 overflows >= 780 shots past it (<= 0.67 bits a shot).
         if shot == n - 1 or shot % 512 == 511:
             sigma = math.sqrt(var[at].min())
             if not _sigma_in_range(sigma):
                 raise NumericalConsistencyError(f"posterior sigma {sigma} is below 2**-255.5")
-    return mu, np.sqrt(var[at]), eps_true, comp
+    return mu + c[at], np.sqrt(var[at]), eps_true, comp
 
 
 def _rows(seed: int, count: int, width: int, noise=None, steps=0):
@@ -580,11 +604,11 @@ def compare_frequentist(
     for tau in taus:
         _slope(tau, model)
     stats, u = _campaign(cfg, extra=shots)
-    adaptive = float(np.median(np.abs(stats.errors)))
+    adaptive = _median(np.abs(stats.errors))
     rows = []
     for mult, tau in zip(tau_multipliers, taus):
         est = _frequentist_estimates(stats.eps_true, tau, u, model)
         rows.append(
-            ComparisonRow(mult, tau, adaptive, float(np.median(np.abs(est - stats.eps_true))))
+            ComparisonRow(mult, tau, adaptive, _median(np.abs(est - stats.eps_true)))
         )
     return rows

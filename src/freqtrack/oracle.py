@@ -32,9 +32,9 @@ class GridPosterior:
     def __post_init__(self):
         if self.eps_values.shape != self.weights.shape or self.eps_values.ndim != 1:
             raise ValueError("eps_values and weights must be 1-d arrays of equal length")
-        if np.any(self.weights < 0.0):
+        if not np.all(self.weights >= 0.0):  # written so that nan fails it
             raise ValueError("weights must be non-negative")
-        if abs(float(self.weights.sum()) - 1.0) > _NORM_TOL:
+        if not abs(float(self.weights.sum()) - 1.0) <= _NORM_TOL:
             raise ValueError("weights must sum to 1")
 
 
@@ -64,8 +64,8 @@ def _reweight(p: GridPosterior, likelihood: np.ndarray) -> GridPosterior:
     """grid_update's posterior, from the likelihood of its outcome at each grid point."""
     w = p.weights * likelihood
     total = float(w.sum())
-    if total <= 0.0:
-        raise ArithmeticError("posterior weight underflow: likelihood annihilated the grid")
+    if not total > 0.0:  # nan too: a nan likelihood leaves no posterior
+        raise ArithmeticError(f"posterior weight {total}: likelihood annihilated the grid or is nan")
     return GridPosterior(p.eps_values, w / total)
 
 
@@ -93,23 +93,21 @@ def kl_divergence(p: GridPosterior, q: GridPosterior) -> float:
         p.eps_values.shape != q.eps_values.shape or not np.allclose(p.eps_values, q.eps_values)
     ):
         raise ValueError("p and q must share the same grid")
-    support = p.weights > 0.0
-    if np.any(q.weights[support] <= 0.0):
+    pw, qw = p.weights, q.weights
+    if not (support := pw > 0.0).all():  # a full support needs no masked copies
+        pw, qw = pw[support], qw[support]
+    if np.any(qw <= 0.0):
         raise ValueError("q must be positive wherever p has mass")
-    pw = p.weights[support]
-    qw = q.weights[support]
     return float(np.sum(pw * np.log2(pw / qw)))
 
 
 def count_local_maxima(p: GridPosterior) -> int:
-    """Number of interior local maxima, via sign changes of the discrete derivative.
+    """Number of interior local maxima: rises followed, past any plateau, by a fall.
 
     Weights below _MODE_THRESHOLD_REL * max(weights) are zeroed first so that
     tail rounding noise does not register as spurious modes.
     """
-    w = p.weights.copy()
-    w[w < _MODE_THRESHOLD_REL * w.max()] = 0.0
-    d = np.diff(w)
-    sgn = np.sign(d)
-    sgn = sgn[sgn != 0]
-    return int(np.sum((sgn[:-1] > 0) & (sgn[1:] < 0)))
+    w = p.weights
+    d = np.diff(np.where(w < _MODE_THRESHOLD_REL * w.max(), 0.0, w))
+    d = d[d != 0.0]  # plateaus
+    return int(np.count_nonzero((d[:-1] > 0.0) & (d[1:] < 0.0)))

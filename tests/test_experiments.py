@@ -289,6 +289,19 @@ class TestMadCalibration:
         assert 1.4826 * stats.mad == pytest.approx(s, rel=0.03)
         assert 1.4826 * stats.mad / stats.mean_final_sigma == pytest.approx(1.0, abs=0.03)
 
+    def test_median_is_np_medians_in_value_and_sign(self):
+        # The one median of mad and compare_frequentist: ties and zeros of either sign included.
+        rng = np.random.default_rng(8)
+        for i in range(2000):
+            n = int(rng.integers(1, 40))
+            x = rng.standard_normal(n) if i % 2 else rng.integers(-2, 3, n) * rng.choice([1.0, -1.0], n)
+            got, expected = experiments._median(x), float(np.median(x))
+            assert (got, math.copysign(1.0, got)) == (expected, math.copysign(1.0, expected))
+        for n in (1, 2, 7, 8):  # a nan anywhere gives nan
+            x = rng.standard_normal(n)
+            x[rng.integers(n)] = math.nan
+            assert math.isnan(experiments._median(x))
+
 
 class TestGaussianValiditySweep:
     def test_rows_and_ordering(self):
@@ -831,13 +844,14 @@ class TestCompareFrequentist:
 
 
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # No subcommand, track's fringe fits included, loads any scipy module.
+    # No subcommand, track's fringe fits included, loads any scipy module, nor numpy.ma.
     code = (
         "import sys; from freqtrack import cli\n"
         "for command in cli.COMMANDS:\n"
         "    assert cli.main([command, '--output', f'{sys.argv[1]}/{command}.csv']) == 0, command\n"
         "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
-        "assert not loaded, f'{len(loaded)} scipy modules, first {loaded[:3]}'"
+        "assert not loaded, f'{len(loaded)} scipy modules, first {loaded[:3]}'\n"
+        "assert 'numpy.ma' not in sys.modules  # np.median's nan check loads it"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(freqtrack.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code, str(tmp_path)], check=True, env=env)

@@ -51,8 +51,9 @@ class TestFromGaussian:
             (np.zeros((2, 2)), np.full((2, 2), 0.25), "1-d arrays of equal length"),
             (np.linspace(-1.0, 1.0, 4), np.array([0.5, 0.75, -0.25, 0.0]), "non-negative"),
             (np.linspace(-1.0, 1.0, 4), np.full(4, 0.5), "sum to 1"),
+            (np.linspace(0.0, 1.0, 1024), np.full(1024, np.nan), "non-negative"),
         ],
-        ids=["lengths", "2-d", "negative", "unnormalized"],
+        ids=["lengths", "2-d", "negative", "unnormalized", "nan"],
     )
     def test_grid_posterior_contracts(self, eps, weights, match):
         with pytest.raises(ValueError, match=match):
@@ -106,6 +107,12 @@ class TestGridUpdate:
         probe = ProbeSettings(tau=1e-7, delta_f=float(eps[1024]))
         with pytest.raises(ArithmeticError):
             oracle.grid_update(grid, -1, probe, ideal)
+
+    def test_nan_likelihood_reported(self):
+        # A nan detuning makes every likelihood nan: no posterior, rather than an all-nan one.
+        grid = oracle.from_gaussian(GaussianBelief(0.0, 1e6))
+        with pytest.raises(ArithmeticError, match="posterior weight nan"):
+            oracle.grid_update(grid, 1, ProbeSettings(1e-7, math.nan), REFERENCE_MODEL)
 
 
 class TestMoments:
@@ -185,6 +192,18 @@ class TestKLDivergence:
             with pytest.raises(ValueError, match="share the same grid"):
                 oracle.kl_divergence(oracle.GridPosterior(eps, weights), shared)
 
+    def test_partial_support_sums_over_where_p_has_mass(self):
+        # Where p is 0 its term is 0 (0 log 0 = 0), whatever q holds there, 0 included.
+        rng = np.random.default_rng(2)
+        eps = np.linspace(-1.0, 1.0, 2048)
+        p, q = rng.random(eps.size), rng.random(eps.size) + 1e-3
+        p[rng.random(eps.size) < 0.3] = 0.0
+        q_zeros = np.where(p > 0.0, q, 0.0)
+        for q in (q / q.sum(), q_zeros / q_zeros.sum()):
+            expected = math.fsum(a * math.log2(a / b) for a, b in zip(p / p.sum(), q) if a > 0.0)
+            kl = oracle.kl_divergence(oracle.GridPosterior(eps, p / p.sum()), oracle.GridPosterior(eps, q))
+            assert kl == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
     def test_support_mismatch_rejected(self):
         eps = np.linspace(-1.0, 1.0, 2048)
         p = np.ones(eps.size)
@@ -227,6 +246,22 @@ class TestMultimodality:
         probe = ProbeSettings(tau=tau, delta_f=optimal_detuning(belief.mu, tau))
         post = oracle.grid_update(oracle.from_gaussian(belief), -1, probe, model)
         assert oracle.count_local_maxima(post) > 1
+
+    def test_mode_count_matches_a_brute_force_count(self):
+        # Weights on few levels give plateaus, zeros and sub-threshold tails: a mode is a maximal
+        # run of equal weights above both neighbouring runs, counted on the thresholded weights.
+        rng = np.random.default_rng(4)
+        eps = np.linspace(-1.0, 1.0, 1024)
+        for _ in range(50):
+            w = rng.integers(0, 4, eps.size) * 10.0 ** rng.integers(-9, 1, eps.size)
+            w[rng.random(eps.size) < 0.2] = 0.0
+            w[: rng.integers(0, 10)] = w[-rng.integers(1, 10):] = 0.0
+            w = np.repeat(w, rng.integers(1, 4, eps.size))[: eps.size]  # plateaus
+            w = w / w.sum()
+            kept = [x if x >= oracle._MODE_THRESHOLD_REL * w.max() else 0.0 for x in w]
+            runs = [x for i, x in enumerate(kept) if i == 0 or x != kept[i - 1]]
+            expected = sum(runs[i - 1] < runs[i] > runs[i + 1] for i in range(1, len(runs) - 1))
+            assert oracle.count_local_maxima(oracle.GridPosterior(eps, w)) == expected
 
     def test_optimal_probe_stays_unimodal(self):
         belief = GaussianBelief(0.0, 1e6)

@@ -207,16 +207,19 @@ def test_lockstep_raises_on_the_same_shot_counts_as_run_estimation(n, ulps, sign
 
 
 def _lockstep_per_run(mu, sigma, eps, u, truth_model, update_model, noise=None, z=None, comp=None):
-    # The lockstep loop as it was before the outcome tree: every shot computes tau, the
-    # amplitude and the mean step from each run's carried variance.  sigma is an array.
+    # The lockstep loop with no outcome tree: every shot computes tau, the slope 2 pi tau, the
+    # amplitude and the step of the run's mean offset c from its carried variance, and tests
+    # the phase slope (mu0 - eps) + slope c.  sigma is an array.
     beta, neg_rate = np.array(truth_model.beta), np.array(-truth_model.inv_T)
     eps_true = eps if comp is None else eps + comp.sum(axis=1)
+    d, c = mu - eps_true, np.full(mu.shape, -0.0)  # c = -0.0: each zero step keeps its sign
     var = sigma**2  # carried through every shot; the square root is taken once at the end
     last = len(u) - 1
     for shot, threshold in enumerate((1.0 + truth_model.alpha) - 2.0 * u):
         tau = _optimal_tau_vec(var, update_model)
-        up = beta * np.exp(tau * neg_rate) * np.sin(TWO_PI * (mu - eps_true) * tau) < threshold
-        mu, var = _posterior_moments_vec(mu, var, tau, up, update_model)
+        slope = TWO_PI * tau
+        up = beta * np.exp(tau * neg_rate) * np.sin(slope * d + slope * c) < threshold
+        c, var = _posterior_moments_vec(c, var, tau, up, update_model)
         # The scalar form's floor on the posterior sigma: exact after the last shot, as var never
         # grows, and after every 512th, since tau**2 overflows >= 780 shots past it.
         if (shot == last or shot % 512 == 511) and not _sigma_in_range(sigma := math.sqrt(var.min())):
@@ -225,7 +228,8 @@ def _lockstep_per_run(mu, sigma, eps, u, truth_model, update_model, noise=None, 
             cycle = (tau + READOUT_TIME) + DEPLETION_TIME  # cycle_duration, elementwise
             comp = noise.transition(comp, noise.decay(cycle[:, None]), z[shot])
             eps_true = eps + comp.sum(axis=1)
-    return mu, np.sqrt(var), eps_true, comp
+            d = mu - eps_true
+    return mu + c, np.sqrt(var), eps_true, comp
 
 
 def _bits(arrays):  # equal bytes: equal values, signs of zero included; no bank stays None
@@ -316,7 +320,7 @@ def test_lockstep_checks_sigma_at_the_nodes_it_visits(n):
     # T = inf makes the schedule scale-free: a unit prior gives each path's shrink factor.
     up, down = after_last(1, 1.0), after_last(-1, 1.0)
     sigma0 = 2.0**-255.5 / up * (down / up) ** (-0.5 / n)
-    *_, var = _outcome_tree(sigma0, n, model, model, None)
+    var = _outcome_tree(sigma0, n, model, model, None)[3]
     assert len(var) == n + 1  # so _lockstep reads every shot's variance from the tree
     subnormal = [k for k, v in enumerate(var[n]) if not _sigma_in_range(math.sqrt(v))]
     assert subnormal == [2**n - 1]  # the all +1 node, last in its level
@@ -348,14 +352,15 @@ class TestOutcomeTreeCache:
                 args = (rng.random((n, 3)), REFERENCE_MODEL, IDEAL_MODEL, noise, z, comp)
                 _lockstep(np.zeros(3), 1e6, np.zeros(3), *args)
                 misses, depth = _outcome_tree.cache_info().misses, _tree_depth(n, k)
-                taus, amps, steps, var, *drift = _outcome_tree(
+                slopes, amps, phases, var, offsets, *drift = _outcome_tree(
                     1e6, depth, REFERENCE_MODEL, IDEAL_MODEL, noise
                 )
                 assert _outcome_tree.cache_info().misses == misses  # the tree _lockstep built
                 sizes = [2**s for s in range(depth + 1)]
-                assert [t.size for t in taus] == [a.size for a in amps] == sizes[:-1]
-                assert [step.size for step in steps] == [2 * size for size in sizes[:-1]]
+                assert [t.size for t in slopes] == [a.size for a in amps] == sizes[:-1]
+                assert [p.size for p in phases] == sizes[:-1]
                 assert [v.size for v in var] == sizes
+                assert [c.size for c in offsets] == sizes[-1:]  # the nodes that leave the tree
                 shapes = [(2**s, k) for s in range(depth)]
                 assert [[t.shape for t in tables] for tables in drift] == [shapes] * (k > 0) * 2
 
@@ -366,7 +371,7 @@ class TestOutcomeTreeCache:
         info = _outcome_tree.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
         tree = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, None)
-        assert len(tree) == 4  # no drift tables
+        assert len(tree) == 5  # no drift tables
 
     def test_each_drifting_process_keys_its_own_tree(self):
         # OU and 1/f at one (sigma0, models) step their banks by different tables; two
@@ -385,10 +390,12 @@ class TestOutcomeTreeCache:
     @pytest.mark.parametrize("kind", ["ou_drift", "one_over_f"])
     def test_drift_tables_hold_each_nodes_step_read_only(self, kind):
         noise = NoiseProcess(kind=kind)
-        taus, _, _, _, decays, kicks = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, noise)
+        slopes, _, _, var, _, decays, kicks = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, noise)
         shapes = [(2**s, noise.rates.size) for s in range(4)]
         assert [d.shape for d in decays] == [k.shape for k in kicks] == shapes
-        for tau, decay, kick in zip(taus, decays, kicks):  # over the node's cycle_duration
+        for slope, v, decay, kick in zip(slopes, var, decays, kicks):  # over the node's cycle_duration
+            tau = _optimal_tau_vec(v, IDEAL_MODEL)  # the tau each node probes at
+            np.testing.assert_array_equal(slope, TWO_PI * tau)
             cycle = ((tau + READOUT_TIME) + DEPLETION_TIME)[:, None]
             np.testing.assert_array_equal(decay, noise.decay(cycle))
             np.testing.assert_array_equal(kick, noise.innovation(decay))
@@ -401,7 +408,8 @@ class TestOutcomeTreeCache:
         # Each tau of a tree's levels: the bank steps over a shot's cycle by the bits of
         # decay(cycle_duration) and its innovation.
         noise = NoiseProcess(kind=kind)
-        for tau in np.concatenate(_outcome_tree(1e6, 6, REFERENCE_MODEL, IDEAL_MODEL, noise)[0]):
+        var = _outcome_tree(1e6, 6, REFERENCE_MODEL, IDEAL_MODEL, noise)[3]
+        for tau in np.concatenate([_optimal_tau_vec(v, IDEAL_MODEL) for v in var[:-1]]):
             decay, kick = noise.cycle_step(np.array([tau]))
             expected = noise.decay(cycle_duration(ProbeSettings(tau, 0.0)))
             assert decay.shape == kick.shape == (1, noise.rates.size)
