@@ -181,12 +181,14 @@ def _posterior_moments(
     the caller has computed for tau.  This is the scalar form, on floats, of
     _posterior_moments_vec's expression: the mean steps by
     2 pi m beta var tau damp / (1 + m alpha), and the variance falls by the
-    step's square.  A variance below VARIANCE_FLOOR_REL * sigma^2, or NaN, or
-    a posterior sigma below 2**-255.5, GaussianBelief's floor, raises NumericalConsistencyError.
+    step's square.  Both forms square tau as tau * tau, numpy's square, not
+    as tau**2, which is libm pow on a float.  A variance below
+    VARIANCE_FLOOR_REL * sigma^2, or NaN, or a posterior sigma below
+    2**-255.5, GaussianBelief's floor, raises NumericalConsistencyError.
     """
     if model.beta == 0.0:  # keeps the sign of a zero mu, and sigma's own bits
         return mu, sigma
-    damp = math.exp(-tau * model.inv_T - _HALF_TWO_PI_SQ * var * tau**2)
+    damp = math.exp(-tau * model.inv_T - _HALF_TWO_PI_SQ * var * (tau * tau))
     step = (model._gain_up if m == 1 else model._gain_down) * var * tau * damp
     var_next = var - step * step
     if not var_next >= VARIANCE_FLOOR_REL * var:
@@ -218,7 +220,7 @@ def _posterior_moments_vec(
     """
     if up.dtype != np.bool_:  # np.where would read an outcome of -1 as m = +1
         raise TypeError(f"up must be a boolean array, got dtype {up.dtype}")
-    damp = np.exp(tau * -model.inv_T - _HALF_TWO_PI_SQ * var * tau**2)
+    damp = np.exp(tau * -model.inv_T - _HALF_TWO_PI_SQ * var * (tau * tau))
     step = np.where(up, model._gain_up, model._gain_down) * var * tau * damp
     var_next = var - step * step
     if not (var_next >= VARIANCE_FLOOR_REL * var).all():

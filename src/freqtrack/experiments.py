@@ -114,44 +114,44 @@ def _median(x: np.ndarray) -> float:
     return float(0.0 + part[half] if odd else (0.0 + part[half - 1] + part[half]) / 2.0)
 
 
-#: Largest outcome tree, in bytes: the default 6-component 1/f bank's tree at 14 levels.
-_TREE_BYTES = 9 * 2**18  # 2.25 MiB
+#: An outcome tree's byte budget: (5 + 2k) 2**depth doubles for a bank of k components.
+_TREE_BYTES = 9 * 2**18  # 2.25 MiB, which a 2-component bank's 15 levels fill
 
 
 def _tree_depth(n: int, k: int) -> int:
-    """Levels tabulated for n shots: the most whose (6 + 2k) 2**depth doubles fit _TREE_BYTES, or 0."""
-    return min(n, max(0, (_TREE_BYTES // (8 * (6 + 2 * k))).bit_length() - 1))
+    """Levels tabulated for n shots: the most whose (5 + 2k) 2**depth doubles fit _TREE_BYTES, or 0.
+
+    A level's node holds 3 + 2k doubles and a leaf 2: (3 + 2k)(2**depth - 1) + 2 * 2**depth in all.
+    """
+    return min(n, max(0, (_TREE_BYTES // (8 * (5 + 2 * k))).bit_length() - 1))
 
 
 @functools.lru_cache(maxsize=4)  # the five commands use 3 trees
 def _outcome_tree(sigma0, depth, truth_model, update_model, noise):
-    """Per-shot tuples (slopes, amps, phases, var, (offsets,)[, decays, kicks]) of read-only levels.
+    """(levels, c, var): per shot the read-only tables a tabulated shot reads, then the leaves.
 
     The cache of _lockstep's computed shots: its depth changes time, never bits.  A run's node at
-    shot s is its outcomes so far in binary (m = +1 is 1): level s holds the slope 2 pi tau, the
-    amplitude beta e^(-tau/T), the phase 2 pi tau c and the entering variance of its 2**s nodes,
-    where c is the node's mean offset from the starting mean: -0.0 at the root, and a child's is
-    its parent's plus the array form's step.  offsets holds the c of the 2**depth nodes that leave
-    the tree, var their variances too.  For a drifting bank it also holds each node's decay over
-    its cycle and innovation scale, (2**s, k) each.
+    shot s is its outcomes so far in binary (m = +1 is 1).  levels[s] is the tuple
+    (slope, amp, phase) over its 2**s nodes: the slope 2 pi tau, the amplitude beta e^(-tau/T)
+    and the phase 2 pi tau c, where c is the node's mean offset from the starting mean: -0.0 at
+    the root, and a child's is its parent's plus the array form's step.  For a drifting bank the
+    tuple goes on with each node's decay over its cycle and innovation scale, (2**s, k) each.
+    c and var are the offsets and variances of the 2**depth nodes that leave the tree.  The
+    variance a level enters with is a local of the build: no tabulated shot reads it.
     """
-    tree = ([], [], [], _arrays(np.array([sigma0], np.float64) ** 2)) + ([], []) * (noise is not None)
-    offset = np.array([-0.0])
+    c, var, levels = np.array([-0.0]), np.array([sigma0], np.float64) ** 2, []
     for _ in range(depth):
-        tau = _optimal_tau_vec(var := tree[3][-1], update_model)
+        tau = _optimal_tau_vec(var, update_model)
         slope, amp = _TWO_PI * tau, truth_model.beta * np.exp(tau * -truth_model.inv_T)
+        drift = noise.cycle_step(tau) if noise is not None else ()
+        levels.append(tuple(_arrays(slope, amp, slope * c, *drift)))
         child, var_next = np.zeros((2, 2 * var.size))
         for up in (False, True):  # one outcome a call: 128 KiB temporaries are mmapped, 3x slower
             child[up::2], var_next[up::2] = _posterior_moments_vec(
-                offset, var, tau, np.full(var.size, up), update_model
+                c, var, tau, np.full(var.size, up), update_model
             )
-        drift = noise.cycle_step(tau) if noise is not None else ()
-        level = (slope, amp, slope * offset, var_next) + drift
-        for tables, table in zip(tree, _arrays(*level)):
-            tables.append(table)
-        offset = child
-    tables = tuple(map(tuple, tree))
-    return tables[:4] + (tuple(_arrays(offset)),) + tables[4:]
+        c, var = child, var_next
+    return tuple(levels), *_arrays(c, var)
 
 
 def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None, comp=None):
@@ -164,23 +164,26 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None,
     for one level).  Given a bank comp (R x k) of the drifting process noise's OU components, the
     shift is eps plus their sum, and the bank steps over shot s's probing cycle with the standard
     normals z[s], by the decay and innovation scale the tree holds for the node probed; the bank
-    after the last shot is handed back.  All randomness comes in through u, z and comp.
+    after the last shot is handed back.  All randomness comes in through u, z and comp.  The
+    scalar form's posterior-sigma floor is checked after the last shot, as var never grows, and
+    past the tree every 512th, since tau**2 overflows >= 780 shots past it (<= 0.67 bits a shot).
     """
     eps_true = eps if comp is None else eps + np.add.reduce(comp, 1)
     d, n, node = mu - eps_true, len(u), np.zeros(eps.shape, np.intp)
     depth = _tree_depth(n, 0 if comp is None else comp.shape[1])
-    tree = _outcome_tree(sigma0, depth, truth_model, update_model, None if comp is None else noise)
-    slopes, amps, phases, tree_var, (c,), *bank = tree  # drift tables if comp is given
-    # Run i enters a shot with variance var[at[i]]: its node's, then its own.  Its offset is
-    # c[at[i]] from the shot it leaves the tree: the leaf's, then its own.
-    var, at = tree_var[0], node
+    levels, c, var = _outcome_tree(
+        sigma0, depth, truth_model, update_model, None if comp is None else noise
+    )
+    at = node  # run i's offset and variance are c[at[i]] and var[at[i]]: its leaf's, then its own
     for shot, threshold in enumerate((1.0 + truth_model.alpha) - 2.0 * u):
         if shot < depth:
-            if comp is not None:  # the bank steps over the cycle of the node probed
-                decay, kick = bank[0][shot].take(node, 0), bank[1][shot].take(node, 0)
-            up = amps[shot][node] * np.sin(slopes[shot][node] * d + phases[shot][node]) < threshold
+            if comp is None:
+                slope, amp, phase = levels[shot]
+            else:  # the bank steps over the cycle of the node probed
+                slope, amp, phase, decay, kick = levels[shot]
+                decay, kick = decay.take(node, 0), kick.take(node, 0)
+            up = amp[node] * np.sin(slope[node] * d + phase[node]) < threshold
             node += node + up
-            var = tree_var[shot + 1]
         else:
             if shot == depth:  # each run's own offset and variance: from here on run i reads c[i]
                 c, var, at = c[at], var[at], slice(None)
@@ -188,19 +191,18 @@ def _lockstep(mu, sigma0, eps, u, truth_model, update_model, noise=None, z=None,
             slope, amp = _TWO_PI * tau, truth_model.beta * np.exp(tau * -truth_model.inv_T)
             up = amp * np.sin(slope * d + slope * c) < threshold
             c, var = _posterior_moments_vec(c, var, tau, up, update_model)
+            if shot % 512 == 511 and not _sigma_in_range(sigma := math.sqrt(var.min())):
+                raise NumericalConsistencyError(f"posterior sigma {sigma} is below 2**-255.5")
             if comp is not None:
                 decay, kick = noise.cycle_step(tau)
         if comp is not None:
             comp = comp * decay + kick * z[shot]
             eps_true = eps + np.add.reduce(comp, 1)
             d = mu - eps_true
-        # The scalar form's posterior-sigma floor: exact after the last shot, as var never grows,
-        # and after every 512th, since tau**2 overflows >= 780 shots past it (<= 0.67 bits a shot).
-        if shot == n - 1 or shot % 512 == 511:
-            sigma = math.sqrt(var[at].min())
-            if not _sigma_in_range(sigma):
-                raise NumericalConsistencyError(f"posterior sigma {sigma} is below 2**-255.5")
-    return mu + c[at], np.sqrt(var[at]), eps_true, comp
+    sigma = np.sqrt(var[at])
+    if not _sigma_in_range(low := sigma.min()):
+        raise NumericalConsistencyError(f"posterior sigma {low} is below 2**-255.5")
+    return mu + c[at], sigma, eps_true, comp
 
 
 def _rows(seed: int, count: int, width: int, noise=None, steps=0):
@@ -404,13 +406,9 @@ class FringeFit:
     identifiable: bool
 
 
-class FitError(RuntimeError):
-    """Fringe fit did not converge; message carries residual diagnostics."""
-
-
 #: The fit stops at the 5th step that lowers the squared residual by <= 1e-8 of it (curve_fit's ftol
 #: stops at the 1st, 1e-4 sigma from the minimum; a fit that runs off to A -> inf stops too), or
-#: where no step lowers it: the damping, 1e-3 at first, passes 1e16.
+#: where no step lowers it: the damping, 1e-3 at first, passes 1e16.  Else it stops unconverged.
 _FIT_SLOW, _FIT_STEPS, _FIT_DAMPING = (1e-8, 5), 2000, (1e-3, 1e16, 1e-12)
 
 
@@ -426,13 +424,13 @@ def _fringe_jacobian(tau, c, A, gamma, f, phi):
 
 
 def _least_squares(tau, y, p, lower, upper):
-    """_fringe_model's parameters fitted to y from p within [lower, upper]; RuntimeError if none.
+    """(p, converged): _fringe_model's parameters fitted to y from p within [lower, upper].
 
     Levenberg-Marquardt scaled by the largest norm each Jacobian column has had, as MINPACK
     scales, so a column that collapses (f = 0 at phi = pi) is still damped; the norms span 1e-11
     to 7.  A zero column steps by 0, a parameter at a bound is held while the gradient pushes it
     outward, and each trial is clipped to the bounds.  The damping rises tenfold a rejected trial
-    and falls tenfold a step, to 1e-12.
+    and falls tenfold a step, to 1e-12.  After _FIT_STEPS steps it returns its last iterate.
     """
     (ftol, slow_left), (lam, lam_max, lam_min) = _FIT_SLOW, _FIT_DAMPING
     r, d = y - _fringe_model(tau, *p), np.zeros_like(p)
@@ -451,11 +449,11 @@ def _least_squares(tau, y, p, lower, upper):
             if (cost_trial := r_trial @ r_trial) < cost:
                 break
             if (lam := lam * 10.0) > lam_max:  # no step lowers the cost: a minimum to rounding
-                return p
+                return p, True
         if (slow_left := slow_left - (cost - cost_trial <= ftol * cost)) == 0:
-            return trial
+            return trial, True
         p, r, cost, lam = trial, r_trial, cost_trial, max(lam / 10.0, lam_min)
-    raise RuntimeError(f"no minimum within {_FIT_STEPS} steps")
+    return p, False
 
 
 def fit_fringe(record: FringeRecord) -> FringeFit:
@@ -466,7 +464,8 @@ def fit_fringe(record: FringeRecord) -> FringeFit:
     Fourier peak, amplitude from half the record's range, T2 from half the
     span.  The envelope is fitted by its rate 1/T2^2 in [0, (10/dt)^2], so a
     fringe that shows no decay fits T2 = inf, unidentifiable; the covariance is
-    curve_fit's.  A flat record is reported as unidentifiable rather than fitted.
+    curve_fit's.  A flat record is reported as unidentifiable rather than fitted,
+    and so is a fit still unconverged after _FIT_STEPS steps, at its last iterate.
     """
     tau, y = record.tau_values, record.flip_fractions
     if tau.size < 10:
@@ -499,14 +498,7 @@ def fit_fringe(record: FringeRecord) -> FringeFit:
 
     lower = np.array([-np.inf, 0.0, 0.0, 0.0, -np.pi])
     upper = np.array([np.inf, np.inf, (10.0 / dt) ** 2, 10.0 * f0 + 1.0 / dt, np.pi])
-    try:
-        popt = _least_squares(tau, y, p0, lower, upper)
-    except RuntimeError as exc:
-        resid = y - _fringe_model(tau, *p0)
-        raise FitError(
-            f"fringe fit failed to converge (start residual rms {np.std(resid):.3g}): {exc}"
-        ) from exc
-
+    popt, converged = _least_squares(tau, y, p0, lower, upper)
     resid = y - _fringe_model(tau, *popt)
     _, s, vt = np.linalg.svd(_fringe_jacobian(tau, *popt), full_matrices=False)
     keep = s > np.finfo(float).eps * tau.size * s[0]
@@ -523,7 +515,7 @@ def fit_fringe(record: FringeRecord) -> FringeFit:
         t2_err=float(t2_err),
         frequency_err=float(perr[3]),
         residual_rms=float(np.std(resid)),
-        identifiable=math.isfinite(t2_err),
+        identifiable=converged and math.isfinite(t2_err),
     )
 
 

@@ -20,8 +20,8 @@ subcommand that also writes <output>.summary.json it then prints the digest of i
 files and that of its summaries apart, so that a change to a summary alone shows as one.  Last
 it prints the campaign matrix's digest again with `_tree_depth` forced to 0, so that every shot
 is computed and none read from the outcome tree.  That line must equal the first: the tree only
-caches the computed shot, and its depth changes time, never bits.  The name keeps pytest from
-collecting it.  It takes a few seconds.
+caches the computed shot, and its depth changes time, never bits.  The script exits 1 where it
+does not, and 0 otherwise.  The name keeps pytest from collecting it.  It takes a few seconds.
 """
 
 import hashlib
@@ -110,6 +110,8 @@ def main() -> None:
     with mock.patch.object(experiments, "_tree_depth", lambda n, k: 0):
         campaign_bits(computed)
     print(f"{computed.hexdigest()}  (the campaigns, every shot computed: equals the first line)")
+    if computed.digest() != matrix.digest():
+        sys.exit("the campaigns with every shot computed differ from the tabulated ones")
 
 
 if __name__ == "__main__":

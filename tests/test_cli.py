@@ -427,13 +427,22 @@ class TestExitCodes:
     def test_failed_fit_writes_nothing(self, tmp_path, monkeypatch, capsys):
         # Every result is computed before the first file is written.
         def fail(record):
-            raise experiments.FitError("no convergence")
+            raise RuntimeError("no convergence")
 
         monkeypatch.setattr(experiments, "fit_fringe", fail)
         argv = ["track", "--cycles", "10", "--repetitions", "5"]
         assert main([*argv, "--output", str(tmp_path / "track.csv")]) == 2
         assert "no convergence" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_fit_at_its_step_budget_is_unidentifiable(self, tmp_path):
+        # The open arm's fit is still falling at its 2000th step, with f bouncing between its
+        # bounds and phi at +-pi.  It writes its last iterate, unidentifiable, and exits 0.
+        argv = ["track", "--seed", "1365", "--n", "3", "--cycles", "26", "--repetitions", "5"]
+        assert main([*argv, "--output", str(tmp_path / "track.csv")]) == 0
+        summary = json.loads((tmp_path / "track.summary.json").read_text())["summary"]
+        assert summary["no_feedback"]["identifiable"] is False
+        assert math.isfinite(summary["no_feedback"]["t2_err_s"])  # unidentifiable by the budget
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         (tmp_path / "camp.summary.json").mkdir()  # the summary cannot replace a directory

@@ -623,21 +623,18 @@ class TestFitFringe:
         with pytest.raises(ValueError, match="tau_values must increase in equal steps"):
             fit_fringe(FringeRecord(tau_values=taus, flip_fractions=y, feedback=True))
 
-    def test_fit_that_fails_to_converge_raises_fit_error(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise RuntimeError("no minimum within 2000 steps")
-
+    def test_fit_that_fails_to_converge_is_unidentifiable(self, monkeypatch):
+        # A fit still falling at its step budget reports its last iterate, with a finite error,
+        # as unidentifiable.
         taus = np.linspace(1e-7, 8e-6, 40)
-        y = 0.5 + 0.45 * np.cos(2 * np.pi * 1e6 * taus)
+        y = 0.5 + 0.45 * np.exp(-((taus / 5e-6) ** 2)) * np.cos(2 * np.pi * 1e6 * taus)
         record = FringeRecord(tau_values=taus, flip_fractions=y, feedback=True)
-        match = r"fringe fit failed to converge \(start residual rms .+\): no minimum within {} steps"
-        monkeypatch.setattr(experiments, "_least_squares", no_convergence)
-        with pytest.raises(experiments.FitError, match=match.format(2000)):
-            fit_fringe(record)
-        monkeypatch.undo()
+        assert fit_fringe(record).identifiable
         monkeypatch.setattr(experiments, "_FIT_STEPS", 1)  # the solver's own cap
-        with pytest.raises(experiments.FitError, match=match.format(1)):
-            fit_fringe(record)
+        capped = fit_fringe(record)
+        assert not capped.identifiable
+        assert math.isfinite(capped.t2) and math.isfinite(capped.t2_err)
+        assert abs(capped.t2 - 5e-6) > 1e-9  # one step from the start, not the fit
 
 
 class TestFringeRecord:

@@ -92,7 +92,7 @@ def test_array_form_matches_scalar_form(model, rows):
         mu_s, sigma_s = _posterior_moments(mu_i, sigma_i, sigma_i**2, tau_i, m_i, model)
         # One expression: equal bits wherever np.exp and math.exp agree, else equal to rounding.
         assert math.isclose(tau[i], tau_i, rel_tol=1e-14)
-        x = -tau_i * model.inv_T - TWO_PI**2 / 2.0 * sigma_i**2 * tau_i**2
+        x = -tau_i * model.inv_T - TWO_PI**2 / 2.0 * sigma_i**2 * (tau_i * tau_i)
         if (var[i], tau[i]) == (sigma_i**2, tau_i) and math.exp(x) == np.exp(x):
             assert (mu_v[i], sigma_v[i]) == (mu_s, sigma_s)
         assert abs(mu_v[i] - mu_s) <= 1e-14 * max(abs(mu_s), sigma_i)
@@ -320,20 +320,50 @@ def test_lockstep_checks_sigma_at_the_nodes_it_visits(n):
     # T = inf makes the schedule scale-free: a unit prior gives each path's shrink factor.
     up, down = after_last(1, 1.0), after_last(-1, 1.0)
     sigma0 = 2.0**-255.5 / up * (down / up) ** (-0.5 / n)
-    var = _outcome_tree(sigma0, n, model, model, None)[3]
-    assert len(var) == n + 1  # so _lockstep reads every shot's variance from the tree
-    subnormal = [k for k, v in enumerate(var[n]) if not _sigma_in_range(math.sqrt(v))]
-    assert subnormal == [2**n - 1]  # the all +1 node, last in its level
+    levels, _, var = _outcome_tree(sigma0, n, model, model, None)
+    assert len(levels) == n  # so at its natural depth _lockstep reads every shot from the tree
+    subnormal = [k for k, v in enumerate(var) if not _sigma_in_range(math.sqrt(v))]
+    assert subnormal == [2**n - 1]  # the all +1 node, the last to leave the tree
 
     zero = np.zeros(1)
     for m, u in ((1, 0.0), (-1, 1.0 - 2.0**-53)):
-        in_array_form = _raises_subnormal(
-            lambda: _lockstep(zero, sigma0, zero, np.full((n, 1), u), model, model)
-        )
         in_scalar_form = _raises_subnormal(
             lambda: run_estimation(GaussianBelief(0.0, sigma0), n, model, lambda probe: m)
         )
-        assert in_array_form == in_scalar_form == (m == 1)
+        for depth in (0, 1, None):  # every shot computed, one from the tree, and the natural n
+            forced = experiments._tree_depth if depth is None else lambda n, k: min(n, depth)
+            with mock.patch.object(experiments, "_tree_depth", forced):
+                in_array_form = _raises_subnormal(
+                    lambda: _lockstep(zero, sigma0, zero, np.full((n, 1), u), model, model)
+                )
+            assert in_array_form == in_scalar_form == (m == 1)
+
+
+def _process_with(k):
+    """A process with a bank of k components.  No kind builds k = 2, so 1/f's 3 are cut to 2."""
+    if k < 2:
+        return NoiseProcess(kind="ou_drift") if k else None
+    noise = NoiseProcess(kind="one_over_f", octave_count=max(k, 3))
+    if k == 2:  # the fields __post_init__ sets, for the first two rates
+        rates, variance = noise.rates[:2], noise.sigma_eps**2 / 2.0  # a read-only view
+        fields = {"rates": rates, "component_variance": variance, "_bank": (rates.tobytes(), variance)}
+        for name, value in fields.items():
+            object.__setattr__(noise, name, value)
+    return noise
+
+
+def _level_variances(depth, *key):
+    """The variance each level of a tree enters with: the leaves of the tree that stops there."""
+    variances = []
+    for s in range(depth):
+        _, _, var = _outcome_tree(1e6, s, *key)
+        variances.append(var)
+    return variances
+
+
+def _nbytes(tree):
+    levels, c, var = tree
+    return sum(table.nbytes for level in levels for table in level) + c.nbytes + var.nbytes
 
 
 class TestOutcomeTreeCache:
@@ -352,17 +382,12 @@ class TestOutcomeTreeCache:
                 args = (rng.random((n, 3)), REFERENCE_MODEL, IDEAL_MODEL, noise, z, comp)
                 _lockstep(np.zeros(3), 1e6, np.zeros(3), *args)
                 misses, depth = _outcome_tree.cache_info().misses, _tree_depth(n, k)
-                slopes, amps, phases, var, offsets, *drift = _outcome_tree(
-                    1e6, depth, REFERENCE_MODEL, IDEAL_MODEL, noise
-                )
+                levels, c, var = _outcome_tree(1e6, depth, REFERENCE_MODEL, IDEAL_MODEL, noise)
                 assert _outcome_tree.cache_info().misses == misses  # the tree _lockstep built
-                sizes = [2**s for s in range(depth + 1)]
-                assert [t.size for t in slopes] == [a.size for a in amps] == sizes[:-1]
-                assert [p.size for p in phases] == sizes[:-1]
-                assert [v.size for v in var] == sizes
-                assert [c.size for c in offsets] == sizes[-1:]  # the nodes that leave the tree
-                shapes = [(2**s, k) for s in range(depth)]
-                assert [[t.shape for t in tables] for tables in drift] == [shapes] * (k > 0) * 2
+                # (slope, amp, phase[, decay, kick]) per shot: what a tabulated shot reads
+                shapes = [[(2**s,)] * 3 + [(2**s, k)] * 2 * (k > 0) for s in range(depth)]
+                assert [[table.shape for table in level] for level in levels] == shapes
+                assert c.shape == var.shape == (2**depth,)  # the nodes that leave the tree
 
     def test_a_quasistatic_process_shares_the_tree_of_none(self):
         prior = GaussianBelief(0.0, 1e6)
@@ -370,8 +395,8 @@ class TestOutcomeTreeCache:
             run_campaign(CampaignConfig(10, 4, prior, REFERENCE_MODEL, IDEAL_MODEL, noise))
         info = _outcome_tree.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
-        tree = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, None)
-        assert len(tree) == 5  # no drift tables
+        levels, _, _ = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, None)
+        assert [len(level) for level in levels] == [3] * 4  # no drift tables
 
     def test_each_drifting_process_keys_its_own_tree(self):
         # OU and 1/f at one (sigma0, models) step their banks by different tables; two
@@ -383,17 +408,18 @@ class TestOutcomeTreeCache:
         info = _outcome_tree.cache_info()
         assert (info.misses, info.hits, info.currsize) == (3, 5, 3)
         for noise in (ou, one_over_f):
-            *_, decays, kicks = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, noise)
-            assert decays[0].shape == kicks[0].shape == (1, noise.rates.size)
+            levels, _, _ = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, noise)
+            _, _, _, decay, kick = levels[0]
+            assert decay.shape == kick.shape == (1, noise.rates.size)
         assert _outcome_tree.cache_info().misses == 3
 
     @pytest.mark.parametrize("kind", ["ou_drift", "one_over_f"])
     def test_drift_tables_hold_each_nodes_step_read_only(self, kind):
         noise = NoiseProcess(kind=kind)
-        slopes, _, _, var, _, decays, kicks = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, noise)
-        shapes = [(2**s, noise.rates.size) for s in range(4)]
-        assert [d.shape for d in decays] == [k.shape for k in kicks] == shapes
-        for slope, v, decay, kick in zip(slopes, var, decays, kicks):  # over the node's cycle_duration
+        levels, _, _ = _outcome_tree(1e6, 4, REFERENCE_MODEL, IDEAL_MODEL, noise)
+        variances = _level_variances(4, REFERENCE_MODEL, IDEAL_MODEL, noise)
+        for s, ((slope, _, _, decay, kick), v) in enumerate(zip(levels, variances)):
+            assert decay.shape == kick.shape == (2**s, noise.rates.size)
             tau = _optimal_tau_vec(v, IDEAL_MODEL)  # the tau each node probes at
             np.testing.assert_array_equal(slope, TWO_PI * tau)
             cycle = ((tau + READOUT_TIME) + DEPLETION_TIME)[:, None]
@@ -408,8 +434,8 @@ class TestOutcomeTreeCache:
         # Each tau of a tree's levels: the bank steps over a shot's cycle by the bits of
         # decay(cycle_duration) and its innovation.
         noise = NoiseProcess(kind=kind)
-        var = _outcome_tree(1e6, 6, REFERENCE_MODEL, IDEAL_MODEL, noise)[3]
-        for tau in np.concatenate([_optimal_tau_vec(v, IDEAL_MODEL) for v in var[:-1]]):
+        variances = _level_variances(6, REFERENCE_MODEL, IDEAL_MODEL, noise)
+        for tau in np.concatenate([_optimal_tau_vec(v, IDEAL_MODEL) for v in variances]):
             decay, kick = noise.cycle_step(np.array([tau]))
             expected = noise.decay(cycle_duration(ProbeSettings(tau, 0.0)))
             assert decay.shape == kick.shape == (1, noise.rates.size)
@@ -417,12 +443,13 @@ class TestOutcomeTreeCache:
             np.testing.assert_array_equal(kick[0], noise.innovation(expected))
 
     def test_depth_is_the_most_levels_within_the_byte_budget(self):
-        assert _tree_depth(CAP, 0) == _tree_depth(CAP, 1) == CAP
-        assert _tree_depth(CAP, 2) == _tree_depth(CAP, 6) == CAP - 1
+        assert _tree_depth(CAP, 0) == _tree_depth(CAP, 1) == _tree_depth(CAP, 2) == CAP
+        assert _tree_depth(CAP, 3) == _tree_depth(CAP, 6) == CAP - 1
         assert _tree_depth(CAP, 7) == CAP - 2
         assert [_tree_depth(n, 0) for n in (0, 1, 5, CAP + 5)] == [0, 1, 5, CAP]
-        for k in range(12):  # one more level would not fit
-            assert 8 * (6 + 2 * k) * 2 ** (_tree_depth(10**6, k) + 1) > _TREE_BYTES
+        for k in range(12):  # the levels fit, and one more would not
+            depth = _tree_depth(10**6, k)
+            assert 8 * (5 + 2 * k) * 2**depth <= _TREE_BYTES < 8 * (5 + 2 * k) * 2 ** (depth + 1)
         # A bank too large for one level tabulates none: 147,454 components used to give -1, and
         # a campaign at -1 raise NameError.  At 0 every shot reads each run's own variance.
         assert [_tree_depth(10**6, k) for k in (73_725, 73_726, 147_454, 10**6)] == [1, 0, 0, 0]
@@ -431,23 +458,28 @@ class TestOutcomeTreeCache:
         stats = run_campaign(cfg)
         assert np.isfinite([stats.eps_true, stats.eps_hat, stats.final_sigmas]).all()
         assert (stats.final_sigmas < 1e6).all()
-        assert _outcome_tree(1e6, 0, REFERENCE_MODEL, IDEAL_MODEL, noise)[0] == ()  # the campaign's
-        assert _outcome_tree.cache_info().misses == 1
+        levels, c, var = _outcome_tree(1e6, 0, REFERENCE_MODEL, IDEAL_MODEL, noise)
+        assert _outcome_tree.cache_info().misses == 1  # the campaign's tree
+        assert levels == () and c.tolist() == [-0.0] and var.tolist() == [1e12]  # the root leaves
 
     @pytest.mark.parametrize(
-        "noise",
-        [None, NoiseProcess(kind="ou_drift"), NoiseProcess(kind="one_over_f", octave_count=3),
-         NoiseProcess(kind="one_over_f"), NoiseProcess(kind="one_over_f", octave_count=7)],
-        ids=["quasistatic", "ou", "one_over_f_3", "one_over_f_6", "one_over_f_7"],
+        "k", [0, 1, 2, 3, 6, 7],
+        ids=["quasistatic", "ou", "two_components", "one_over_f_3", "one_over_f_6", "one_over_f_7"],
     )
-    def test_every_tree_lockstep_builds_fits_the_budget(self, noise):
-        prior = GaussianBelief(0.0, 1e6)
-        run_campaign(CampaignConfig(4, CAP + 2, prior, REFERENCE_MODEL, IDEAL_MODEL, noise))
-        k = 0 if noise is None else noise.rates.size
-        tree = _outcome_tree(1e6, _tree_depth(CAP + 2, k), REFERENCE_MODEL, IDEAL_MODEL, noise)
-        assert _outcome_tree.cache_info().misses == 1  # the tree the campaign built
-        assert len(tree[0]) == {0: CAP, 1: CAP, 3: CAP - 1, 6: CAP - 1, 7: CAP - 2}[k]
-        assert sum(level.nbytes for tables in tree for level in tables) <= _TREE_BYTES
+    def test_every_tree_lockstep_builds_fits_the_budget(self, k):
+        # Levels and MiB of (5 + 2k) 2**depth doubles at n = CAP, and past it the same tree.
+        levels_held, mib = {0: (CAP, 1.25), 1: (CAP, 1.75), 2: (CAP, 2.25), 3: (CAP - 1, 1.375),
+                            6: (CAP - 1, 2.125), 7: (CAP - 2, 1.1875)}[k]
+        prior, noise = GaussianBelief(0.0, 1e6), _process_with(k)
+        for n in (CAP, CAP + 2):
+            run_campaign(CampaignConfig(4, n, prior, REFERENCE_MODEL, IDEAL_MODEL, noise))
+        tree = _outcome_tree(1e6, _tree_depth(CAP, k), REFERENCE_MODEL, IDEAL_MODEL, noise)
+        levels, _, _ = tree
+        assert _outcome_tree.cache_info().misses == 1  # the tree both campaigns read
+        assert len(levels) == levels_held
+        # (3 + 2k) doubles a node of each level, and (c, var) for each node that leaves the tree
+        bound = 8 * (5 + 2 * k) * 2**levels_held
+        assert _nbytes(tree) == bound - 8 * (3 + 2 * k) <= bound == mib * 2**20 <= _TREE_BYTES
 
     @pytest.mark.parametrize(
         "first,second",
@@ -472,21 +504,22 @@ class TestOutcomeTreeCache:
         assert _outcome_tree.cache_info().misses == 1
 
     def test_a_full_one_over_f_tree_stays_small(self):
-        # (6 + 2k) 2**14 doubles for the default k = 6 bank; the cache holds up to 4 such trees.
+        # (5 + 2k) 2**14 doubles for the default k = 6 bank; the cache holds up to 4 such trees.
         noise = NoiseProcess(kind="one_over_f")
         tree = _outcome_tree(1e6, _tree_depth(CAP, 6), REFERENCE_MODEL, IDEAL_MODEL, noise)
-        assert len(tree[0]) == CAP - 1
-        assert sum(level.nbytes for tables in tree for level in tables) <= 2.5 * 2**20
+        levels, _, _ = tree
+        assert len(levels) == CAP - 1
+        assert _nbytes(tree) <= 2.125 * 2**20
 
     def test_tables_are_read_only(self):
-        tree = _outcome_tree(1e6, 4, REFERENCE_MODEL, REFERENCE_MODEL, None)
-        with pytest.raises(TypeError):  # every caller gets the same tuples
-            tree[0] = None
-        with pytest.raises(TypeError):
-            tree[0][0] = None
-        for level in (table for tables in tree for table in tables):
-            with pytest.raises(ValueError, match="read-only"):
-                level[0] = 0.0
+        for noise in (None, NoiseProcess(kind="one_over_f")):
+            levels, c, var = tree = _outcome_tree(1e6, 4, REFERENCE_MODEL, REFERENCE_MODEL, noise)
+            # every caller gets the same tuples, which no assignment can change
+            assert type(tree) is type(levels) is tuple
+            assert {type(level) for level in levels} == {tuple}
+            for table in (*(table for level in levels for table in level), c, var):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 0.0
 
     def test_cache_is_bounded(self):
         for k in range(12):
@@ -558,9 +591,9 @@ def test_array_form_rejects_non_boolean_outcomes():
 
 
 # The scalar closed form exactly as it was written before its leading constants
-# were folded and tau**2 was computed once.  Folding only what left-to-right
-# evaluation computes first leaves every bit in place, so the current form
-# must equal these with ==.
+# were folded, with tau squared as tau * tau, as both forms square it.  Folding
+# only what left-to-right evaluation computes first leaves every bit in place,
+# so the current form must equal these with ==.
 
 
 def _optimal_tau_written_out(sigma, T):
@@ -575,7 +608,7 @@ def _posterior_moments_written_out(mu, sigma, tau, m, model):
         return mu, sigma
     var = sigma**2
     inv_T = 0.0 if math.isinf(model.T) else 1.0 / model.T
-    damp = math.exp(-tau * inv_T - TWO_PI**2 / 2.0 * var * tau**2)
+    damp = math.exp(-tau * inv_T - TWO_PI**2 / 2.0 * var * (tau * tau))
     step = TWO_PI * m * b / (1.0 + m * model.alpha) * var * tau * damp
     return mu + step, math.sqrt(var - step * step)
 
